@@ -2,15 +2,16 @@
 
 Builds a synthetic 200-document corpus with a deterministic hashing
 encoder (no transformer forward — the benchmark isolates the *scoring*
-path, which is what the vectorized rewrite changed), then times the legacy
-reference loop against `retrieve_by_vector` / `retrieve_batch` and writes
-``BENCH_retrieval.json`` next to this file.
+path, which is what the vectorized rewrite changed), then times the
+per-document reference scorer (``tests/reference_scoring.py``) against
+`retrieve_by_vector` / `retrieve_batch` and writes ``BENCH_retrieval.json``
+next to this file.
 
 Marked ``perf``; tier-1 (`testpaths = tests`) never collects it, so the
 suite stays fast.
 """
 
-import json
+import sys
 import time
 import zlib
 from pathlib import Path
@@ -27,6 +28,10 @@ from repro.retriever.single import SingleRetriever
 from repro.retriever.store import TripleStore
 from repro.retriever.strategies import ONE_FACT, ScoreStrategy
 from repro.storage.atomic import atomic_write_json
+
+# the reference scorer is a test oracle and lives with the tests
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from reference_scoring import reference_retrieve  # noqa: E402
 
 pytestmark = pytest.mark.perf
 
@@ -110,7 +115,7 @@ def test_vectorized_speedup(synthetic_retriever):
 
     def run_legacy():
         for row in queries:
-            retriever.retrieve_by_vector_legacy(row, k=10, strategy=strategy)
+            reference_retrieve(retriever, row, k=10, strategy=strategy)
 
     def run_vectorized():
         for row in queries:
@@ -122,7 +127,7 @@ def test_vectorized_speedup(synthetic_retriever):
     # sanity: same answers before timing
     sample = queries[0]
     fast = retriever.retrieve_by_vector(sample, k=10, strategy=strategy)
-    slow = retriever.retrieve_by_vector_legacy(sample, k=10, strategy=strategy)
+    slow = reference_retrieve(retriever, sample, k=10, strategy=strategy)
     assert [r.doc_id for r in fast] == [r.doc_id for r in slow]
     np.testing.assert_allclose(
         [r.score for r in fast], [r.score for r in slow], atol=1e-6

@@ -126,12 +126,8 @@ class DenseRetriever:
             return []
         with time_block() as elapsed:
             score_matrix = queries @ self._doc_normed.T
-        COUNTERS.record_scoring(
-            queries.shape[0],
-            self._doc_normed.shape[0],
-            self._doc_normed.shape[0],
-            elapsed(),
-        )
+        scored = queries.shape[0] * self._doc_normed.shape[0]
+        COUNTERS.record_scoring(queries.shape[0], scored, scored, elapsed())
         return [
             self._top_k(
                 row, k, exclude[i] if exclude is not None else None

@@ -95,12 +95,15 @@ class PerfCounters:
     def record_scoring(
         self, n_queries: int, n_docs: int, n_triples: int, seconds: float
     ) -> None:
+        """One scoring call: ``n_docs`` and ``n_triples`` are the batch's
+        totals, summed over its queries (what each query actually scored,
+        so pruned shards and int8-rescore cuts are not counted)."""
         with self._lock:
             self.matmul_calls += 1
             self.matmul_seconds += seconds
             self.queries += n_queries
-            self.docs_scored += n_queries * n_docs
-            self.triples_scored += n_queries * n_triples
+            self.docs_scored += n_docs
+            self.triples_scored += n_triples
 
     def reset(self) -> None:
         with self._lock:

@@ -11,9 +11,10 @@ all triples into one L2-normalized ``(total_triples, dim)`` matrix with
 per-document offsets, so a query (or a whole batch of queries) is scored
 with a single matmul and the per-document aggregation runs as
 ``reduceat`` segment reductions (:func:`repro.retriever.strategies.
-aggregate_segments`). The original document-by-document loop survives as
-:meth:`retrieve_by_vector_legacy` — the reference implementation the
-parity tests compare against.
+aggregate_segments`). Every retrieval runs through a
+:class:`~repro.shard.plan.ShardPlan`: the configured shards, a one-shard
+zero-copy plan when unsharded, or a one-shard plan over the gathered
+rows of ``candidate_ids``.
 
 Embedding maintenance is **incremental**: every refresh remembers a
 per-document row hash (the flattened triple texts) plus the encoder
@@ -36,22 +37,17 @@ from repro.ingest.embedding_store import EmbeddingStore
 from repro.ingest.fingerprint import encoder_fingerprint, triples_fingerprint
 from repro.oie.triple import Triple
 from repro.perf import COUNTERS, time_block
-from repro.precision import (
-    Precision,
-    PrecisionLike,
-    cast_matrix,
-    resolve,
-)
+from repro.precision import PrecisionLike, cast_matrix, resolve
 from repro.retriever.store import TripleStore
 from repro.retriever.strategies import (
     ONE_FACT,
     ScoreStrategy,
-    aggregate_segments,
-    cosine_matrix,
+    aggregate_segments,  # re-exported; scoring calls it in repro.shard.plan
     l2_normalize_rows,
+    segment_lengths,
 )
 from repro.shard.merge import topk_doc_order
-from repro.shard.plan import ShardPlan
+from repro.shard.plan import QueryScores, ShardPlan
 from repro.shard.store import ShardedEmbeddingStore
 
 
@@ -104,15 +100,17 @@ class SingleRetriever:
         self._doc_pos: Dict[int, int] = {}
         self._offsets: List[int] = []
         self._offsets_arr: Optional[np.ndarray] = None
+        self._lengths: Optional[np.ndarray] = None
         # dirty-row tracking: what each cached segment was computed from
         self._row_hashes: Dict[int, str] = {}
         self._encoder_fp: Optional[str] = None
         self._attached: Optional[EmbeddingStore] = None
-        # sharded scoring: (n_shards, mode) spec + the built plan; the
-        # plan is rebuilt lazily whenever the scoring matrices refresh
+        # the plan every retrieval scores through: built from the
+        # (n_shards, mode, quantize) spec, or one range shard when the
+        # spec is None; rebuilt whenever the scoring matrices refresh
         self._shard_spec: Optional[tuple] = None
         self._shard_assignment: Optional[Dict[int, int]] = None
-        self._shard_plan: Optional[ShardPlan] = None
+        self._plan: Optional[ShardPlan] = None
 
     # -- embedding maintenance ------------------------------------------------
     def refresh_embeddings(
@@ -204,9 +202,9 @@ class SingleRetriever:
             self._normed = l2_normalize_rows(matrix)
             self._doc_pos = {d: i for i, d in enumerate(self._doc_order)}
             self._offsets_arr = np.asarray(self._offsets, dtype=np.int64)
+            self._lengths = segment_lengths(self._offsets_arr, start)
             self._encoder_fp = current_fp
-            if self._shard_spec is not None:
-                self._rebuild_shard_plan()
+            self._rebuild_plan()
         COUNTERS.record_embed_refresh(
             n_encoded=len(dirty_texts),
             n_reused=start - len(dirty_texts),
@@ -236,17 +234,14 @@ class SingleRetriever:
         if len(embeddings.doc_ids) != len(embeddings.offsets):
             return 0
         total = int(matrix.shape[0])
-        for index, doc_id in enumerate(embeddings.doc_ids):
-            segment_start = embeddings.offsets[index]
-            segment_stop = (
-                embeddings.offsets[index + 1]
-                if index + 1 < len(embeddings.offsets)
-                else total
-            )
-            if not 0 <= segment_start <= segment_stop <= total:
-                self.detach_embeddings()
-                return 0
-            self._embeddings[int(doc_id)] = matrix[segment_start:segment_stop]
+        offsets = np.asarray(embeddings.offsets, dtype=np.int64)
+        lengths = segment_lengths(offsets, total)
+        if offsets.size and (offsets[0] < 0 or lengths.min() < 0):
+            return 0
+        for doc_id, start, length in zip(
+            embeddings.doc_ids, offsets.tolist(), lengths.tolist()
+        ):
+            self._embeddings[int(doc_id)] = matrix[start : start + length]
         self._row_hashes = {
             int(d): str(h) for d, h in embeddings.row_hashes.items()
         }
@@ -276,10 +271,11 @@ class SingleRetriever:
         self._doc_pos = {}
         self._offsets = []
         self._offsets_arr = None
+        self._lengths = None
         self._row_hashes = {}
         self._encoder_fp = None
         self._attached = None
-        self._shard_plan = None
+        self._plan = None
 
     def export_embeddings(
         self, construction_fingerprint: str = ""
@@ -306,12 +302,14 @@ class SingleRetriever:
     def _ensure_fresh(self) -> None:
         if self._stacked is None:
             self.refresh_embeddings()
+        elif self._plan is None:
+            self._rebuild_plan()
 
     # -- sharded scoring ------------------------------------------------------
     @property
     def shard_plan(self) -> Optional[ShardPlan]:
         """The active :class:`ShardPlan`, or None when unsharded."""
-        return self._shard_plan
+        return self._plan if self._shard_spec is not None else None
 
     def build_shards(
         self, n_shards: int, mode: str = "range", quantize: bool = False
@@ -330,11 +328,9 @@ class SingleRetriever:
         quantize = bool(quantize) or self.precision.quantized
         self._shard_spec = (int(n_shards), mode, quantize)
         self._shard_assignment = None
-        self._shard_plan = None
+        self._plan = None
         self._ensure_fresh()
-        if self._shard_plan is None:  # matrices were already fresh
-            self._rebuild_shard_plan()
-        return self._shard_plan
+        return self._plan
 
     def attach_sharded(self, sharded: ShardedEmbeddingStore) -> int:
         """Warm-start from a persisted :class:`ShardedEmbeddingStore`.
@@ -353,18 +349,18 @@ class SingleRetriever:
                 sharded.quantized or self.precision.quantized,
             )
             self._shard_assignment = sharded.assignment()
-            self._shard_plan = None
+            self._plan = None
         return total
 
     def detach_shards(self) -> None:
         """Return to unsharded scoring (embedding cache is untouched)."""
         self._shard_spec = None
         self._shard_assignment = None
-        self._shard_plan = None
+        self._plan = None
 
-    def _rebuild_shard_plan(self) -> None:
-        n_shards, mode, quantize = self._shard_spec
-        self._shard_plan = ShardPlan.build(
+    def _rebuild_plan(self) -> None:
+        n_shards, mode, quantize = self._shard_spec or (1, "range", False)
+        self._plan = ShardPlan.build(
             self._normed,
             self._doc_order,
             self._offsets,
@@ -373,7 +369,7 @@ class SingleRetriever:
             assignment=self._shard_assignment,
             quantize=quantize,
         )
-        self._shard_assignment = self._shard_plan.assignment
+        self._shard_assignment = self._plan.assignment
 
     def doc_embeddings(self, doc_id: int) -> np.ndarray:
         """The cached triple embedding matrix of one document."""
@@ -411,11 +407,7 @@ class SingleRetriever:
         if position is None:
             return np.zeros(0)
         start = self._offsets[position]
-        stop = (
-            self._offsets[position + 1]
-            if position + 1 < len(self._offsets)
-            else self._normed.shape[0]
-        )
+        stop = start + int(self._lengths[position])
         query_vec = cast_matrix(query_vec, self.precision.dtype)
         norm = np.linalg.norm(query_vec)
         if norm:
@@ -434,8 +426,9 @@ class SingleRetriever:
     ) -> List[RetrievedDocument]:
         """Top-k documents for ``question`` with matched-triple explanations.
 
-        ``candidate_ids`` restricts scoring to a subset (used by rerankers
-        and by the multi-hop pipeline's second hop). ``nprobe`` limits
+        ``candidate_ids`` restricts scoring to those documents, scored
+        exactly (a library hook for rerankers; see :meth:`retrieve_batch`
+        for its contract). ``nprobe`` limits
         sharded scoring to that many closest shards (requires
         :meth:`build_shards` / :meth:`attach_sharded`; None = no pruning).
         ``precision`` overrides the retriever's policy per request — see
@@ -516,24 +509,26 @@ class SingleRetriever:
     ) -> List[List[RetrievedDocument]]:
         """Top-k documents for every row of ``query_matrix`` at once.
 
-        All queries are scored against all triples with one ``Q×T`` matmul;
-        per-document aggregation runs as segment reductions. Returns one
-        result list per query row, each identical to what
-        :meth:`retrieve_by_vector` returns for that row.
+        Returns one result list per query row, each identical to what
+        :meth:`retrieve_by_vector` returns for that row. Scoring runs
+        through the retriever's :class:`ShardPlan` — one matmul per
+        (shard, queries probing it), then segment reductions per document;
+        unsharded, that is one matmul over the whole matrix. ``nprobe``
+        prunes a sharded plan to that many centroid-closest shards (None
+        or ``>= n_shards`` probes everything, which is provably identical
+        to the unsharded path).
 
-        With an active shard plan and no ``candidate_ids``, scoring runs
-        per shard: ``nprobe`` prunes to that many centroid-closest shards
-        (None or ``>= n_shards`` probes everything, which is provably
-        identical to the unsharded path). ``candidate_ids`` always scores
-        exactly, so ``nprobe`` is ignored there.
+        ``candidate_ids`` are always scored exactly, through a one-shard
+        plan over their gathered rows: ``nprobe`` and ``int8-rescore`` do
+        not apply to them. Ids are de-duplicated order-preserving; an id
+        outside the corpus raises ``KeyError``; a corpus document without
+        triples ranks with ``EMPTY_SCORE`` and no explanation.
 
         ``precision`` overrides the retriever policy per request. A float
         request must match the dtype the matrices are held in — a
         mixed-precision retriever never silently serves an exact-mode
         request. ``int8-rescore`` requests need an active shard plan
-        (whose int8 copy is derived on first use); with ``candidate_ids``
-        they fall back to exact scoring of the (already tiny) candidate
-        set.
+        (whose int8 copy is derived on first use).
         """
         self._ensure_fresh()
         strategy = strategy or self.strategy
@@ -550,261 +545,94 @@ class SingleRetriever:
         queries = np.atleast_2d(
             cast_matrix(query_matrix, self.precision.dtype)
         )
-        if nprobe is not None and self._shard_plan is None:
+        if nprobe is not None and self._shard_spec is None:
             raise ValueError(
                 "nprobe requires an active shard plan; call "
                 "build_shards() or attach_sharded() first"
             )
-        if requested.quantized and candidate_ids is None:
-            if self._shard_plan is None:
-                raise ValueError(
-                    "int8-rescore requires an active shard plan; call "
-                    "build_shards() or attach_sharded() first"
-                )
-        if self._shard_plan is not None and candidate_ids is None:
-            return self._retrieve_batch_sharded(
-                queries, k, strategy, nprobe, keep_triple_scores, requested
+        quantized = requested.quantized and candidate_ids is None
+        if quantized and self._shard_spec is None:
+            raise ValueError(
+                "int8-rescore requires an active shard plan; call "
+                "build_shards() or attach_sharded() first"
             )
-        doc_ids, offsets, gather = self._candidate_layout(candidate_ids)
-        if queries.shape[0] == 0 or doc_ids.size == 0 or k <= 0:
-            return [[] for _ in range(queries.shape[0])]
-        queries_normed = l2_normalize_rows(queries)
-        with time_block() as elapsed:
-            triple_matrix = (
-                self._normed if gather is None else self._normed[gather]
-            )
-            # the single matmul: every query against every candidate triple
-            score_matrix = queries_normed @ triple_matrix.T
-        COUNTERS.record_scoring(
-            n_queries=queries.shape[0],
-            n_docs=doc_ids.size,
-            n_triples=triple_matrix.shape[0],
-            seconds=elapsed(),
+        plan = (
+            self._plan
+            if candidate_ids is None
+            else self._candidate_plan(candidate_ids)
         )
-        return [
-            self._rank_documents(
-                row, doc_ids, offsets, strategy, k, keep_triple_scores
-            )
-            for row in score_matrix
-        ]
-
-    def _retrieve_batch_sharded(
-        self,
-        queries: np.ndarray,
-        k: int,
-        strategy: ScoreStrategy,
-        nprobe: Optional[int],
-        keep_triple_scores: bool,
-        precision: Precision,
-    ) -> List[List[RetrievedDocument]]:
-        """Shard-routed scoring: probe, per-shard matmuls, global merge."""
-        plan = self._shard_plan
         n_queries = queries.shape[0]
         if n_queries == 0 or plan.total_docs == 0 or k <= 0:
             return [[] for _ in range(n_queries)]
         queries_normed = l2_normalize_rows(queries)
         with time_block() as elapsed:
-            if precision.quantized:
-                if not plan.quantized:
-                    # deterministic and cheap relative to plan builds, so
-                    # a first quantized request may derive the int8 copy
-                    plan.quantize()
-                scored = plan.search_quantized(
+            if quantized:
+                # deterministic and cheap relative to plan builds, so a
+                # first quantized request may derive the int8 copy
+                scored = plan.quantize().search_quantized(
                     queries_normed,
                     strategy,
-                    max(int(precision.rescore_width), int(k)),
+                    max(int(requested.rescore_width), int(k)),
                     nprobe,
                 )
             else:
                 scored = plan.search(queries_normed, strategy, nprobe)
         COUNTERS.record_scoring(
             n_queries=n_queries,
-            n_docs=max(
-                (int(q.doc_ids.shape[0]) for q in scored), default=0
-            ),
-            n_triples=max((q.n_triples for q in scored), default=0),
+            n_docs=sum(int(q.doc_ids.shape[0]) for q in scored),
+            n_triples=sum(q.n_triples for q in scored),
             seconds=elapsed(),
         )
-        out: List[List[RetrievedDocument]] = []
-        for query_scores in scored:
-            order = topk_doc_order(
-                query_scores.scores, query_scores.doc_ids, k
-            )
-            results: List[RetrievedDocument] = []
-            for position in order:
-                position = int(position)
-                doc_id = int(query_scores.doc_ids[position])
-                local = int(query_scores.matched[position])
-                triples = self.store.triples(doc_id)
-                matched_triple = (
-                    triples[local] if 0 <= local < len(triples) else None
-                )
-                results.append(
-                    RetrievedDocument(
-                        doc_id=doc_id,
-                        title=self.store.corpus[doc_id].title,
-                        score=float(query_scores.scores[position]),
-                        matched_triple=matched_triple,
-                        triple_scores=(
-                            query_scores.triple_scores(position)
-                            if keep_triple_scores
-                            else None
-                        ),
-                    )
-                )
-            out.append(results)
-        return out
+        return [
+            self._materialize(query_scores, k, keep_triple_scores)
+            for query_scores in scored
+        ]
 
-    # -- vectorized internals ------------------------------------------------
-    def _candidate_layout(self, candidate_ids: Optional[Sequence[int]]):
-        """(doc_ids, offsets, gather) describing the scored triple layout.
-
-        Without candidates this is the full stacked matrix (``gather`` is
-        None). With candidates, ids are de-duplicated order-preserving and
-        validated against the corpus; ``gather`` indexes the stacked matrix
-        rows belonging to the candidates, ``offsets`` are segment starts in
-        that gathered layout. Candidates without triples become empty
-        segments (score ``EMPTY_SCORE``, no explanation), matching the
-        legacy loop.
-        """
-        if candidate_ids is None:
-            return (
-                np.asarray(self._doc_order, dtype=np.int64),
-                self._offsets_arr,
-                None,
-            )
+    def _candidate_plan(self, candidate_ids: Sequence[int]) -> ShardPlan:
+        """A one-shard plan over the rows of the de-duplicated candidates."""
         n_corpus = len(self.store.corpus)
-        unique: List[int] = []
-        seen = set()
-        for doc_id in candidate_ids:
-            doc_id = int(doc_id)
-            if doc_id in seen:
-                continue
+        unique = list(dict.fromkeys(int(doc_id) for doc_id in candidate_ids))
+        for doc_id in unique:
             if not 0 <= doc_id < n_corpus:
                 raise KeyError(
                     f"candidate doc_id {doc_id} not in corpus "
                     f"(valid range 0..{n_corpus - 1})"
                 )
-            seen.add(doc_id)
-            unique.append(doc_id)
-        total = self._normed.shape[0]
-        pieces: List[np.ndarray] = []
-        offsets = np.zeros(len(unique), dtype=np.int64)
-        cursor = 0
-        for i, doc_id in enumerate(unique):
-            offsets[i] = cursor
-            position = self._doc_pos.get(doc_id)
-            if position is None:
-                continue  # corpus doc without triples: empty segment
-            start = self._offsets[position]
-            stop = (
-                self._offsets[position + 1]
-                if position + 1 < len(self._offsets)
-                else total
-            )
-            pieces.append(np.arange(start, stop, dtype=np.int64))
-            cursor += stop - start
-        gather = (
-            np.concatenate(pieces)
-            if pieces
-            else np.zeros(0, dtype=np.int64)
+        positions = np.asarray(
+            [self._doc_pos.get(doc_id, -1) for doc_id in unique],
+            dtype=np.int64,
         )
-        return np.asarray(unique, dtype=np.int64), offsets, gather
+        known = positions >= 0
+        starts = np.zeros(len(unique), dtype=np.int64)
+        lengths = np.zeros(len(unique), dtype=np.int64)
+        starts[known] = self._offsets_arr[positions[known]]
+        lengths[known] = self._lengths[positions[known]]
+        return ShardPlan.gathered(self._normed, unique, starts, lengths)
 
-    def _rank_documents(
-        self,
-        flat_scores: np.ndarray,
-        doc_ids: np.ndarray,
-        offsets: np.ndarray,
-        strategy: ScoreStrategy,
-        k: int,
-        keep_triple_scores: bool,
+    def _materialize(
+        self, scored: QueryScores, k: int, keep_triple_scores: bool
     ) -> List[RetrievedDocument]:
-        """Aggregate one query's flat triple scores and pick top-k docs."""
-        aggregated, matched = aggregate_segments(
-            flat_scores, offsets, strategy
-        )
-        # deterministic (score desc, doc id asc) top-k; shared with the
-        # sharded merge so both paths rank byte-identically
-        order = topk_doc_order(aggregated, doc_ids, k)
-        total = flat_scores.shape[0]
+        """The top-k documents of one query, in (score desc, doc id asc)
+        order, with their explaining triples."""
         results: List[RetrievedDocument] = []
-        for position in order:
+        for position in topk_doc_order(scored.scores, scored.doc_ids, k):
             position = int(position)
-            doc_id = int(doc_ids[position])
-            local = int(matched[position])
+            doc_id = int(scored.doc_ids[position])
+            local = int(scored.matched[position])
             triples = self.store.triples(doc_id)
-            matched_triple = (
-                triples[local] if 0 <= local < len(triples) else None
-            )
-            triple_scores = None
-            if keep_triple_scores:
-                start = int(offsets[position])
-                stop = (
-                    int(offsets[position + 1])
-                    if position + 1 < offsets.shape[0]
-                    else total
-                )
-                triple_scores = flat_scores[start:stop].copy()
             results.append(
                 RetrievedDocument(
                     doc_id=doc_id,
                     title=self.store.corpus[doc_id].title,
-                    score=float(aggregated[position]),
-                    matched_triple=matched_triple,
-                    triple_scores=triple_scores,
+                    score=float(scored.scores[position]),
+                    matched_triple=(
+                        triples[local] if 0 <= local < len(triples) else None
+                    ),
+                    triple_scores=(
+                        scored.triple_scores(position)
+                        if keep_triple_scores
+                        else None
+                    ),
                 )
             )
         return results
-
-    # -- reference implementation -------------------------------------------
-    def retrieve_by_vector_legacy(
-        self,
-        query_vec: np.ndarray,
-        k: int = 10,
-        strategy: Optional[ScoreStrategy] = None,
-        candidate_ids: Optional[Sequence[int]] = None,
-        keep_triple_scores: bool = False,
-    ) -> List[RetrievedDocument]:
-        """Document-by-document reference scorer.
-
-        Kept for the parity tests that pin the vectorized path to the
-        original semantics; O(corpus) Python-level iterations — do not use
-        on hot paths.
-        """
-        self._ensure_fresh()
-        strategy = strategy or self.strategy
-        if candidate_ids is not None:
-            doc_ids = list(dict.fromkeys(int(d) for d in candidate_ids))
-            n_corpus = len(self.store.corpus)
-            for doc_id in doc_ids:
-                if not 0 <= doc_id < n_corpus:
-                    raise KeyError(
-                        f"candidate doc_id {doc_id} not in corpus "
-                        f"(valid range 0..{n_corpus - 1})"
-                    )
-        else:
-            doc_ids = self._doc_order
-        results: List[RetrievedDocument] = []
-        for doc_id in doc_ids:
-            matrix = self.doc_embeddings(doc_id)
-            scores = cosine_matrix(query_vec, matrix)
-            aggregated = strategy.aggregate(scores)
-            matched_index = strategy.matched_index(scores)
-            triples = self.store.triples(doc_id)
-            matched = (
-                triples[matched_index]
-                if 0 <= matched_index < len(triples)
-                else None
-            )
-            results.append(
-                RetrievedDocument(
-                    doc_id=doc_id,
-                    title=self.store.corpus[doc_id].title,
-                    score=aggregated,
-                    matched_triple=matched,
-                    triple_scores=scores if keep_triple_scores else None,
-                )
-            )
-        results.sort(key=lambda r: (-r.score, r.doc_id))
-        return results[: max(k, 0)]

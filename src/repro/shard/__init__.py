@@ -23,7 +23,7 @@ from repro.shard.assignment import (
     segment_means,
 )
 from repro.shard.merge import recall_at_k, topk_doc_order
-from repro.shard.plan import QueryShardScores, Shard, ShardPlan
+from repro.shard.plan import QueryScores, Shard, ShardPlan
 from repro.shard.store import (
     SHARDED_MANIFEST_NAME,
     ShardedEmbeddingStore,
@@ -32,7 +32,7 @@ from repro.shard.store import (
 
 __all__ = [
     "MODES",
-    "QueryShardScores",
+    "QueryScores",
     "SHARDED_MANIFEST_NAME",
     "Shard",
     "ShardPlan",

@@ -24,7 +24,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.precision import ACCUM_DTYPE
-from repro.retriever.strategies import l2_normalize_rows
+from repro.retriever.strategies import l2_normalize_rows, segment_lengths
 
 MODES = ("range", "centroid")
 
@@ -47,8 +47,7 @@ def segment_means(
     means = np.zeros((n_docs, dim), dtype=ACCUM_DTYPE)
     if n_docs == 0 or matrix.shape[0] == 0:
         return means
-    stops = np.concatenate([offsets[1:], [matrix.shape[0]]])
-    lengths = stops - offsets
+    lengths = segment_lengths(offsets, matrix.shape[0])
     nonempty = lengths > 0
     if not nonempty.any():
         return means

@@ -26,12 +26,19 @@ documents' float rows. Because the survivor set is a prefix of the
 coarse total order, widening ``rescore_width`` can only add documents —
 recall@k is monotone in the rescore width, and equals exact recall once
 every true top-k document survives the coarse cut.
+
+This is the only scoring path of :class:`~repro.retriever.single.
+SingleRetriever`: an unsharded retriever scores through a one-shard
+range plan (a zero-copy view of its matrix), and ``candidate_ids``
+through a one-shard plan over the gathered candidate rows
+(:meth:`ShardPlan.gathered`). Every search returns one
+:class:`QueryScores` per query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +51,7 @@ from repro.precision import (
 from repro.retriever.strategies import (
     ScoreStrategy,
     aggregate_segments,
+    segment_lengths,
 )
 from repro.shard.assignment import (
     MODES,
@@ -58,8 +66,10 @@ class Shard:
     """One shard: a doc subset, their triple rows, and a coarse centroid."""
 
     shard_id: int
-    doc_ids: np.ndarray  # (n_docs,) int64, ascending
+    doc_ids: np.ndarray  # (n_docs,) int64
     offsets: np.ndarray  # (n_docs,) int64 shard-local segment starts
+    lengths: np.ndarray  # (n_docs,) int64 triple rows per document
+    sources: np.ndarray  # (n_docs,) int64 segment starts in the plan matrix
     matrix: np.ndarray  # (n_rows, dim) L2-normalized triple rows
     centroid: np.ndarray  # (dim,) unit centroid (zero when empty)
     q_matrix: Optional[np.ndarray] = None  # (n_rows, dim) int8 rows
@@ -77,109 +87,105 @@ class Shard:
         return int(self.doc_ids.shape[0])
 
 
-class QueryShardScores:
-    """One query's scored shards, mergeable into a global ranking.
+def gather_shard(
+    matrix: np.ndarray,
+    doc_ids: Sequence[int],
+    starts: Sequence[int],
+    lengths: Sequence[int],
+    shard_id: int = 0,
+) -> Shard:
+    """A shard over ``matrix[starts[i] : starts[i] + lengths[i]]`` for
+    each document ``doc_ids[i]``, in the given order.
 
-    Concatenates the per-shard per-document aggregates in probe order;
-    :meth:`triple_scores` recovers the flat per-triple scores of one
-    ranked document (the explanation path) without re-scoring.
+    The one way a segment layout is cut out of a stacked matrix: plan
+    shards, ``candidate_ids`` subsets and the quantized rescore's
+    survivors. Rows forming one contiguous run stay a zero-copy view
+    (every range-mode shard); any other layout is gathered. A zero length
+    is a document without triples: it scores ``EMPTY_SCORE`` with no
+    explaining triple.
+    """
+    doc_ids = np.asarray(doc_ids, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    offsets = np.cumsum(lengths) - lengths
+    n_rows = int(lengths.sum())
+    first = int(starts[0]) if starts.size else 0
+    if np.array_equal(starts - first, offsets):
+        rows = matrix[first : first + n_rows]
+    else:
+        rows = matrix[
+            np.repeat(starts - offsets, lengths) + np.arange(n_rows)
+        ]
+    centroid = np.zeros(matrix.shape[1], dtype=matrix.dtype)
+    if n_rows:
+        mean = np.asarray(rows).mean(axis=0)
+        norm = np.linalg.norm(mean)
+        centroid = mean / norm if norm > 0.0 else mean
+    return Shard(shard_id, doc_ids, offsets, lengths, starts, rows, centroid)
+
+
+class ScoredShard(NamedTuple):
+    """One query's scores against one shard."""
+
+    shard: Shard
+    flat: np.ndarray  # (n_rows,) per-triple scores
+    aggregated: np.ndarray  # (n_docs,) per-document strategy aggregates
+    matched: np.ndarray  # (n_docs,) segment-local explaining triple
+
+
+def _score_shard(
+    shard: Shard, queries_normed: np.ndarray, strategy: ScoreStrategy
+) -> List[ScoredShard]:
+    """One matmul of the query block against the shard, then the
+    per-document segment aggregation for each query row."""
+    block = queries_normed @ shard.matrix.T
+    return [
+        ScoredShard(
+            shard, flat, *aggregate_segments(flat, shard.offsets, strategy)
+        )
+        for flat in block
+    ]
+
+
+def _joined(pieces: List[np.ndarray], dtype) -> np.ndarray:
+    """Concatenated per-shard pieces; a single piece is not copied."""
+    if len(pieces) == 1:
+        return pieces[0]
+    return np.concatenate(pieces) if pieces else np.zeros(0, dtype=dtype)
+
+
+class QueryScores:
+    """One query's per-document scores over every shard it scored.
+
+    ``doc_ids``, ``scores`` (strategy aggregates) and ``matched`` (the
+    segment-local index of each document's explaining triple) are
+    parallel arrays in shard order; rank them with
+    :func:`~repro.shard.merge.topk_doc_order`. ``n_triples`` counts the
+    triple rows scored exactly. :meth:`triple_scores` recovers one
+    document's per-triple scores (the explanation path) without
+    re-scoring. Built once from the per-shard pieces; read-only, since
+    a single shard's arrays are shared rather than copied.
     """
 
-    __slots__ = (
-        "doc_ids",
-        "scores",
-        "matched",
-        "n_triples",
-        "_bounds",
-        "_flats",
-        "_offsets",
-    )
+    __slots__ = ("doc_ids", "scores", "matched", "n_triples", "_parts")
 
-    def __init__(self) -> None:
-        self.doc_ids = np.zeros(0, dtype=np.int64)
-        self.scores = np.zeros(0, dtype=ACCUM_DTYPE)
-        self.matched = np.zeros(0, dtype=np.int64)
-        self.n_triples = 0
-        self._bounds: List[int] = [0]
-        self._flats: List[np.ndarray] = []
-        self._offsets: List[np.ndarray] = []
-
-    def add_shard(
-        self,
-        shard: Shard,
-        flat_scores: np.ndarray,
-        aggregated: np.ndarray,
-        matched: np.ndarray,
-    ) -> None:
-        self.doc_ids = np.concatenate([self.doc_ids, shard.doc_ids])
-        self.scores = np.concatenate([self.scores, aggregated])
-        self.matched = np.concatenate([self.matched, matched])
-        self.n_triples += int(flat_scores.shape[0])
-        self._bounds.append(int(self.doc_ids.shape[0]))
-        self._flats.append(flat_scores)
-        self._offsets.append(shard.offsets)
+    def __init__(self, parts: List[ScoredShard]) -> None:
+        self._parts = parts
+        self.doc_ids = _joined([p.shard.doc_ids for p in parts], np.int64)
+        self.scores = _joined([p.aggregated for p in parts], ACCUM_DTYPE)
+        self.matched = _joined([p.matched for p in parts], np.int64)
+        self.n_triples = sum(p.shard.n_rows for p in parts)
 
     def triple_scores(self, position: int) -> np.ndarray:
-        """Flat triple scores of the document at merged ``position``."""
-        bounds = self._bounds
-        shard_index = (
-            int(np.searchsorted(bounds, position, side="right")) - 1
-        )
-        local = position - bounds[shard_index]
-        offsets = self._offsets[shard_index]
-        flat = self._flats[shard_index]
-        start = int(offsets[local])
-        stop = (
-            int(offsets[local + 1])
-            if local + 1 < offsets.shape[0]
-            else flat.shape[0]
-        )
-        return flat[start:stop].copy()
-
-
-class QueryDocScores:
-    """One query's quantized-search result, merge-compatible with
-    :class:`QueryShardScores`.
-
-    Holds only the documents that survived the coarse int8 cut, with
-    their *exact* rescored aggregates; :meth:`triple_scores` recovers
-    the exact flat per-triple scores of one surviving document.
-    """
-
-    __slots__ = (
-        "doc_ids",
-        "scores",
-        "matched",
-        "n_triples",
-        "_flat",
-        "_offsets",
-    )
-
-    def __init__(
-        self,
-        doc_ids: np.ndarray,
-        scores: np.ndarray,
-        matched: np.ndarray,
-        flat: np.ndarray,
-        offsets: np.ndarray,
-    ) -> None:
-        self.doc_ids = doc_ids
-        self.scores = scores
-        self.matched = matched
-        self.n_triples = int(flat.shape[0])
-        self._flat = flat
-        self._offsets = offsets
-
-    def triple_scores(self, position: int) -> np.ndarray:
-        """Exact flat triple scores of the document at ``position``."""
-        offsets = self._offsets
-        start = int(offsets[position])
-        stop = (
-            int(offsets[position + 1])
-            if position + 1 < offsets.shape[0]
-            else self._flat.shape[0]
-        )
-        return self._flat[start:stop].copy()
+        """Flat triple scores of the document at ``position``."""
+        for part in self._parts:
+            shard = part.shard
+            if position < len(shard):
+                start = int(shard.offsets[position])
+                stop = start + int(shard.lengths[position])
+                return part.flat[start:stop].copy()
+            position -= len(shard)
+        raise IndexError("position beyond the scored documents")
 
 
 class ShardPlan:
@@ -187,11 +193,13 @@ class ShardPlan:
 
     def __init__(
         self,
+        matrix: np.ndarray,
         shards: List[Shard],
         mode: str,
         assignment: Dict[int, int],
         quantized: bool = False,
     ):
+        self.matrix = matrix  # the stacked rows every shard is cut from
         self.shards = shards
         self.mode = mode
         self.assignment = assignment  # doc_id -> shard_id
@@ -246,13 +254,8 @@ class ShardPlan:
         normed_matrix = ensure_float(normed_matrix)
         doc_id_arr = np.asarray(list(doc_ids), dtype=np.int64)
         offset_arr = np.asarray(list(offsets), dtype=np.int64)
+        lengths = segment_lengths(offset_arr, normed_matrix.shape[0])
         n_docs = doc_id_arr.shape[0]
-        total = normed_matrix.shape[0]
-        stops = (
-            np.concatenate([offset_arr[1:], [total]])
-            if n_docs
-            else np.zeros(0, dtype=np.int64)
-        )
         if assignment is not None and all(
             int(d) in assignment for d in doc_id_arr
         ):
@@ -268,69 +271,37 @@ class ShardPlan:
             )
         else:
             labels = assign_documents(mode, n_docs, n_shards)
-        shards: List[Shard] = []
-        contiguous = _labels_are_contiguous(labels)
+        shards = []
         for shard_id in range(n_shards):
             positions = np.nonzero(labels == shard_id)[0]
-            if positions.size == 0:
-                dim = normed_matrix.shape[1] if normed_matrix.ndim == 2 else 0
-                shards.append(
-                    Shard(
-                        shard_id=shard_id,
-                        doc_ids=np.zeros(0, dtype=np.int64),
-                        offsets=np.zeros(0, dtype=np.int64),
-                        matrix=np.zeros((0, dim), dtype=normed_matrix.dtype),
-                        centroid=np.zeros(dim, dtype=normed_matrix.dtype),
-                    )
-                )
-                continue
-            lengths = stops[positions] - offset_arr[positions]
-            local_offsets = np.concatenate(
-                [[0], np.cumsum(lengths)[:-1]]
-            ).astype(np.int64)
-            if contiguous:
-                # contiguous doc chunk -> the shard matrix is a zero-copy
-                # view into the stacked matrix
-                row_start = int(offset_arr[positions[0]])
-                row_stop = int(stops[positions[-1]])
-                matrix = normed_matrix[row_start:row_stop]
-            else:
-                pieces = [
-                    normed_matrix[offset_arr[p] : stops[p]]
-                    for p in positions
-                ]
-                matrix = (
-                    np.concatenate(pieces)
-                    if pieces
-                    else np.zeros(
-                        (0, normed_matrix.shape[1]),
-                        dtype=normed_matrix.dtype,
-                    )
-                )
-            if matrix.shape[0]:
-                mean = np.asarray(matrix).mean(axis=0)
-                norm = np.linalg.norm(mean)
-                centroid = mean / norm if norm > 0.0 else mean
-            else:
-                centroid = np.zeros(
-                    normed_matrix.shape[1], dtype=normed_matrix.dtype
-                )
             shards.append(
-                Shard(
-                    shard_id=shard_id,
-                    doc_ids=doc_id_arr[positions],
-                    offsets=local_offsets,
-                    matrix=matrix,
-                    centroid=centroid,
+                gather_shard(
+                    normed_matrix,
+                    doc_id_arr[positions],
+                    offset_arr[positions],
+                    lengths[positions],
+                    shard_id,
                 )
             )
-        mapping = {
-            int(doc_id_arr[i]): int(labels[i]) for i in range(n_docs)
-        }
-        plan = cls(shards=shards, mode=mode, assignment=mapping)
+        mapping = dict(zip(doc_id_arr.tolist(), labels.tolist()))
+        plan = cls(normed_matrix, shards, mode, mapping)
         if quantize:
             plan.quantize()
         return plan
+
+    @classmethod
+    def gathered(
+        cls,
+        matrix: np.ndarray,
+        doc_ids: Sequence[int],
+        starts: Sequence[int],
+        lengths: Sequence[int],
+    ) -> "ShardPlan":
+        """A one-shard plan over the given documents' rows of ``matrix``,
+        in the given order (see :func:`gather_shard`)."""
+        shard = gather_shard(matrix, doc_ids, starts, lengths)
+        assignment = dict.fromkeys(shard.doc_ids.tolist(), 0)
+        return cls(matrix, [shard], "range", assignment)
 
     def quantize(self) -> "ShardPlan":
         """Derive the int8 copy of every shard matrix (idempotent).
@@ -371,40 +342,54 @@ class ShardPlan:
             out.append(order[:nprobe].astype(np.int64))
         return out
 
+    def _probed_groups(
+        self, queries_normed: np.ndarray, nprobe: Optional[int]
+    ) -> List[Tuple[Shard, List[int]]]:
+        """(shard, indices of the queries probing it) for every probed
+        non-empty shard, shard-major: a batch pays each shard's matrix at
+        most once."""
+        if nprobe is None or nprobe >= self.n_shards:
+            # no pruning: every query probes every shard
+            every = list(range(queries_normed.shape[0]))
+            return [(shard, every) for shard in self.shards if len(shard)]
+        by_shard: Dict[int, List[int]] = {}
+        for query_index, shard_ids in enumerate(
+            self.probe(queries_normed, nprobe)
+        ):
+            for shard_id in shard_ids.tolist():
+                by_shard.setdefault(shard_id, []).append(query_index)
+        return [
+            (self.shards[shard_id], by_shard[shard_id])
+            for shard_id in sorted(by_shard)
+            if len(self.shards[shard_id])
+        ]
+
     def search(
         self,
         queries_normed: np.ndarray,
         strategy: ScoreStrategy,
         nprobe: Optional[int] = None,
-    ) -> List[QueryShardScores]:
+    ) -> List[QueryScores]:
         """Score every query against its probed shards (shard-major).
 
-        Executes one matmul per (shard, queries-probing-it) group so a
-        batch pays each shard's matrix at most once, then aggregates per
-        document with the same segment reductions as the unsharded path.
+        Executes one matmul per (shard, queries-probing-it) group, then
+        aggregates per document with the segment reductions.
         """
         queries_normed = np.atleast_2d(ensure_float(queries_normed))
-        probed = self.probe(queries_normed, nprobe)
-        results = [QueryShardScores() for _ in range(len(probed))]
-        by_shard: Dict[int, List[int]] = {}
-        for query_index, shard_ids in enumerate(probed):
-            for shard_id in shard_ids:
-                by_shard.setdefault(int(shard_id), []).append(query_index)
-        for shard_id in sorted(by_shard):
-            shard = self.shards[shard_id]
-            if len(shard) == 0:
-                continue
-            query_indices = by_shard[shard_id]
-            flat_block = queries_normed[query_indices] @ shard.matrix.T
-            for row, query_index in enumerate(query_indices):
-                flat = flat_block[row]
-                aggregated, matched = aggregate_segments(
-                    flat, shard.offsets, strategy
-                )
-                results[query_index].add_shard(
-                    shard, flat, aggregated, matched
-                )
-        return results
+        n_queries = queries_normed.shape[0]
+        parts: List[List[ScoredShard]] = [[] for _ in range(n_queries)]
+        for shard, query_indices in self._probed_groups(
+            queries_normed, nprobe
+        ):
+            block = (
+                queries_normed
+                if len(query_indices) == n_queries
+                else queries_normed[query_indices]
+            )
+            scored = _score_shard(shard, block, strategy)
+            for query_index, part in zip(query_indices, scored):
+                parts[query_index].append(part)
+        return [QueryScores(query_parts) for query_parts in parts]
 
     def search_quantized(
         self,
@@ -412,16 +397,16 @@ class ShardPlan:
         strategy: ScoreStrategy,
         rescore_width: int,
         nprobe: Optional[int] = None,
-    ) -> List[QueryDocScores]:
+    ) -> List[QueryScores]:
         """Coarse int8 scoring, then an exact rescore of the survivors.
 
         Per probed shard the int8 copy is scored chunk-wise (~1 byte of
         DRAM traffic per matrix element) and aggregated per document;
         the global top-``rescore_width`` documents per query — under the
         same ``(score desc, doc id asc)`` total order as every other
-        ranking site — then have their *float* rows re-scored with one
-        exact matmul. Survivors form a prefix of the coarse total order,
-        so recall@k is monotone in ``rescore_width``.
+        ranking site — then have their *float* rows gathered and scored
+        exactly, as ``candidate_ids`` are. Survivors form a prefix of the
+        coarse total order, so recall@k is monotone in ``rescore_width``.
         """
         if not self.quantized:
             raise ValueError(
@@ -430,93 +415,36 @@ class ShardPlan:
             )
         queries_normed = np.atleast_2d(ensure_float(queries_normed))
         rescore_width = max(1, int(rescore_width))
-        n_queries = queries_normed.shape[0]
-        dim = queries_normed.shape[1]
-        probed = self.probe(queries_normed, nprobe)
-        by_shard: Dict[int, List[int]] = {}
-        for query_index, shard_ids in enumerate(probed):
-            for shard_id in shard_ids:
-                by_shard.setdefault(int(shard_id), []).append(query_index)
-        # per-query parallel accumulators over every probed shard's docs:
-        # coarse aggregate + enough layout to find the float rows again
-        acc_docs: List[List[np.ndarray]] = [[] for _ in range(n_queries)]
-        acc_scores: List[List[np.ndarray]] = [[] for _ in range(n_queries)]
-        acc_shards: List[List[np.ndarray]] = [[] for _ in range(n_queries)]
-        acc_starts: List[List[np.ndarray]] = [[] for _ in range(n_queries)]
-        acc_stops: List[List[np.ndarray]] = [[] for _ in range(n_queries)]
-        for shard_id in sorted(by_shard):
-            shard = self.shards[shard_id]
-            if len(shard) == 0:
-                continue
-            query_indices = by_shard[shard_id]
-            coarse = coarse_scores(
-                shard.q_matrix,
-                shard.q_scales,
-                queries_normed[query_indices],
+        coarse: List[List[Tuple[Shard, np.ndarray]]] = [
+            [] for _ in range(queries_normed.shape[0])
+        ]
+        for shard, query_indices in self._probed_groups(
+            queries_normed, nprobe
+        ):
+            block = coarse_scores(
+                shard.q_matrix, shard.q_scales, queries_normed[query_indices]
             )
-            stops = np.concatenate(
-                [shard.offsets[1:], [shard.n_rows]]
-            ).astype(np.int64)
-            marks = np.full(len(shard), shard_id, dtype=np.int64)
             for column, query_index in enumerate(query_indices):
                 aggregated, _ = aggregate_segments(
-                    coarse[:, column], shard.offsets, strategy
+                    block[:, column], shard.offsets, strategy
                 )
-                acc_docs[query_index].append(shard.doc_ids)
-                acc_scores[query_index].append(aggregated)
-                acc_shards[query_index].append(marks)
-                acc_starts[query_index].append(shard.offsets)
-                acc_stops[query_index].append(stops)
-        results: List[QueryDocScores] = []
-        for query_index in range(n_queries):
-            if acc_docs[query_index]:
-                doc_ids = np.concatenate(acc_docs[query_index])
-                coarse_agg = np.concatenate(acc_scores[query_index])
-                shard_ids = np.concatenate(acc_shards[query_index])
-                starts = np.concatenate(acc_starts[query_index])
-                stops = np.concatenate(acc_stops[query_index])
-            else:
-                doc_ids = np.zeros(0, dtype=np.int64)
-                coarse_agg = np.zeros(0, dtype=ACCUM_DTYPE)
-                shard_ids = np.zeros(0, dtype=np.int64)
-                starts = np.zeros(0, dtype=np.int64)
-                stops = np.zeros(0, dtype=np.int64)
-            survivors = topk_doc_order(coarse_agg, doc_ids, rescore_width)
-            pieces = [
-                self.shards[int(shard_ids[pos])].matrix[
-                    int(starts[pos]) : int(stops[pos])
-                ]
-                for pos in survivors
-            ]
-            rescore_matrix = (
-                np.concatenate(pieces)
-                if pieces
-                else np.zeros((0, dim), dtype=queries_normed.dtype)
+                coarse[query_index].append((shard, aggregated))
+        results: List[QueryScores] = []
+        for query, scored in zip(queries_normed, coarse):
+            shards = [shard for shard, _ in scored]
+            doc_ids = _joined([shard.doc_ids for shard in shards], np.int64)
+            survivors = topk_doc_order(
+                _joined([agg for _, agg in scored], ACCUM_DTYPE),
+                doc_ids,
+                rescore_width,
             )
-            lengths = np.asarray(
-                [piece.shape[0] for piece in pieces], dtype=np.int64
-            )
-            offsets = np.concatenate(
-                [[0], np.cumsum(lengths)[:-1]]
-            ).astype(np.int64) if pieces else np.zeros(0, dtype=np.int64)
-            flat = rescore_matrix @ queries_normed[query_index]
-            aggregated, matched = aggregate_segments(
-                flat, offsets, strategy
+            rescore = gather_shard(
+                self.matrix,
+                doc_ids[survivors],
+                _joined([s.sources for s in shards], np.int64)[survivors],
+                _joined([s.lengths for s in shards], np.int64)[survivors],
             )
             results.append(
-                QueryDocScores(
-                    doc_ids=doc_ids[survivors],
-                    scores=aggregated,
-                    matched=matched,
-                    flat=flat,
-                    offsets=offsets,
-                )
+                QueryScores(_score_shard(rescore, query[None, :], strategy))
             )
         return results
-
-
-def _labels_are_contiguous(labels: np.ndarray) -> bool:
-    """True when equal labels occupy one contiguous run (range layout)."""
-    if labels.shape[0] <= 1:
-        return True
-    return bool(np.all(np.diff(labels) >= 0))

@@ -11,14 +11,23 @@ from repro.retriever.negatives import (
 from repro.retriever.single import SingleRetriever
 from repro.retriever.store import TripleStore, build_triple_store
 from repro.retriever.strategies import (
+    EMPTY_SCORE,
     MEAN,
     ONE_FACT,
     TOP_K,
     ScoreStrategy,
-    cosine_matrix,
-    score_documents,
+    aggregate_segments,
 )
 from repro.retriever.trainer import RetrieverTrainer, TrainerConfig
+from reference_scoring import cosine_matrix, score_documents
+
+
+def _one_segment(strategy, scores):
+    """(score, explaining index) of one document's per-triple scores."""
+    aggregated, matched = aggregate_segments(
+        scores, np.zeros(1, dtype=np.int64), strategy
+    )
+    return aggregated[0], matched[0]
 
 
 class TestTripleStore:
@@ -55,29 +64,32 @@ class TestStrategies:
     SCORES = np.array([0.1, 0.9, 0.5])
 
     def test_one_fact_is_max(self):
-        assert ScoreStrategy(ONE_FACT).aggregate(self.SCORES) == 0.9
+        assert _one_segment(ScoreStrategy(ONE_FACT), self.SCORES)[0] == 0.9
 
     def test_top_k_mean(self):
-        assert ScoreStrategy(TOP_K, k=2).aggregate(self.SCORES) == pytest.approx(0.7)
+        score, _ = _one_segment(ScoreStrategy(TOP_K, k=2), self.SCORES)
+        assert score == pytest.approx(0.7)
 
     def test_top_k_larger_than_size(self):
-        assert ScoreStrategy(TOP_K, k=10).aggregate(self.SCORES) == pytest.approx(
-            self.SCORES.mean()
-        )
+        score, _ = _one_segment(ScoreStrategy(TOP_K, k=10), self.SCORES)
+        assert score == pytest.approx(self.SCORES.mean())
 
     def test_mean(self):
-        assert ScoreStrategy(MEAN).aggregate(self.SCORES) == pytest.approx(0.5)
+        score, _ = _one_segment(ScoreStrategy(MEAN), self.SCORES)
+        assert score == pytest.approx(0.5)
 
     def test_empty_scores(self):
-        assert ScoreStrategy(ONE_FACT).aggregate(np.zeros(0)) == -1.0
-        assert ScoreStrategy(ONE_FACT).matched_index(np.zeros(0)) == -1
+        assert _one_segment(ScoreStrategy(ONE_FACT), np.zeros(0)) == (
+            EMPTY_SCORE,
+            -1,
+        )
 
     def test_matched_index(self):
-        assert ScoreStrategy(ONE_FACT).matched_index(self.SCORES) == 1
+        assert _one_segment(ScoreStrategy(ONE_FACT), self.SCORES)[1] == 1
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
-            ScoreStrategy("bogus").aggregate(self.SCORES)
+            ScoreStrategy("bogus")
 
     def test_cosine_matrix(self):
         query = np.array([1.0, 0.0])

@@ -1,22 +1,37 @@
 """Parity and regression tests for the vectorized retrieval path.
 
-The single-matmul scorer (`retrieve_by_vector` / `retrieve_batch`) must be
-indistinguishable — ranking, scores, explaining triples — from the
-document-by-document reference loop kept as
-:meth:`SingleRetriever.retrieve_by_vector_legacy`.
+Every scoring path (`retrieve_by_vector` / `retrieve_batch` unsharded,
+through range and centroid shard plans, and as an int8-rescore cascade
+at full rescore width) must be indistinguishable — ranking, scores,
+explaining triples — from the document-by-document reference scorer in
+`reference_scoring`.
 """
 
 import numpy as np
 import pytest
 
 from repro.perf import COUNTERS
+from repro.precision import Precision
+from repro.retriever.single import SingleRetriever
 from repro.retriever.strategies import MEAN, ONE_FACT, TOP_K, ScoreStrategy
+from reference_scoring import cosine_matrix, reference_retrieve
 
-STRATEGIES = [
-    pytest.param(ScoreStrategy(ONE_FACT), id="one_fact"),
-    pytest.param(ScoreStrategy(TOP_K, k=2), id="top2"),
-    pytest.param(ScoreStrategy(TOP_K, k=5), id="top5"),
-    pytest.param(ScoreStrategy(MEAN), id="mean"),
+STRATEGIES = {
+    "one_fact": ScoreStrategy(ONE_FACT),
+    "top2": ScoreStrategy(TOP_K, k=2),
+    "top5": ScoreStrategy(TOP_K, k=5),
+    "mean": ScoreStrategy(MEAN),
+}
+PATHS = ["unsharded", "2-shard-range", "4-shard-centroid", "int8-rescore"]
+# (strategy, scoring path); unsharded cases keep the bare strategy id
+CASES = [
+    pytest.param(
+        strategy,
+        path,
+        id=name if path == "unsharded" else f"{name}-{path}",
+    )
+    for path in PATHS
+    for name, strategy in STRATEGIES.items()
 ]
 
 QUESTIONS = [
@@ -24,6 +39,26 @@ QUESTIONS = [
     "which band recorded the film soundtrack",
     "who played for the team that won the award",
 ]
+
+
+@pytest.fixture(scope="module")
+def paths(encoder, store, retriever):
+    """Scoring path name -> (retriever, per-request precision)."""
+
+    def sharded(n_shards, mode):
+        built = SingleRetriever(encoder, store)
+        built.refresh_embeddings()
+        built.build_shards(n_shards, mode)
+        return built
+
+    two_range = sharded(2, "range")
+    full_width = Precision(mode="int8-rescore", rescore_width=len(store))
+    return {
+        "unsharded": (retriever, None),
+        "2-shard-range": (two_range, None),
+        "4-shard-centroid": (sharded(4, "centroid"), None),
+        "int8-rescore": (two_range, full_width),
+    }
 
 
 def _assert_same_results(fast, slow):
@@ -39,49 +74,61 @@ def _assert_same_results(fast, slow):
 
 
 class TestVectorizedParity:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("strategy, path", CASES)
     @pytest.mark.parametrize("question", QUESTIONS)
-    def test_full_corpus_parity(self, retriever, strategy, question):
+    def test_full_corpus_parity(self, paths, strategy, path, question):
+        retriever, precision = paths[path]
         vec = retriever.encode_question(question)
-        fast = retriever.retrieve_by_vector(vec, k=10, strategy=strategy)
-        slow = retriever.retrieve_by_vector_legacy(
-            vec, k=10, strategy=strategy
+        fast = retriever.retrieve_by_vector(
+            vec, k=10, strategy=strategy, precision=precision
         )
+        slow = reference_retrieve(retriever, vec, k=10, strategy=strategy)
         _assert_same_results(fast, slow)
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_triple_scores_parity(self, retriever, strategy):
+    @pytest.mark.parametrize("strategy, path", CASES)
+    def test_triple_scores_parity(self, paths, strategy, path):
+        retriever, precision = paths[path]
         vec = retriever.encode_question(QUESTIONS[0])
         fast = retriever.retrieve_by_vector(
-            vec, k=5, strategy=strategy, keep_triple_scores=True
+            vec,
+            k=5,
+            strategy=strategy,
+            keep_triple_scores=True,
+            precision=precision,
         )
-        slow = retriever.retrieve_by_vector_legacy(
-            vec, k=5, strategy=strategy, keep_triple_scores=True
+        slow = reference_retrieve(
+            retriever, vec, k=5, strategy=strategy, keep_triple_scores=True
         )
+        assert len(fast) == len(slow) == 5
         for a, b in zip(fast, slow):
             np.testing.assert_allclose(
                 a.triple_scores, b.triple_scores, atol=1e-6
             )
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_candidate_subset_parity(self, retriever, strategy):
+    @pytest.mark.parametrize("strategy, path", CASES)
+    def test_candidate_subset_parity(self, paths, strategy, path):
+        retriever, precision = paths[path]
         vec = retriever.encode_question(QUESTIONS[1])
         candidates = [7, 3, 11, 0, 5]
         fast = retriever.retrieve_by_vector(
-            vec, k=4, strategy=strategy, candidate_ids=candidates
+            vec,
+            k=4,
+            strategy=strategy,
+            candidate_ids=candidates,
+            precision=precision,
         )
-        slow = retriever.retrieve_by_vector_legacy(
-            vec, k=4, strategy=strategy, candidate_ids=candidates
+        slow = reference_retrieve(
+            retriever, vec, k=4, strategy=strategy, candidate_ids=candidates
         )
         _assert_same_results(fast, slow)
 
     def test_retrieve_uses_vectorized_path(self, retriever):
-        """`retrieve` and the legacy loop agree end to end."""
+        """`retrieve` and the reference scorer agree end to end."""
         results = retriever.retrieve(QUESTIONS[0], k=6)
-        legacy = retriever.retrieve_by_vector_legacy(
-            retriever.encode_question(QUESTIONS[0]), k=6
+        reference = reference_retrieve(
+            retriever, retriever.encode_question(QUESTIONS[0]), k=6
         )
-        _assert_same_results(results, legacy)
+        _assert_same_results(results, reference)
 
 
 class TestRetrieveBatch:
@@ -111,7 +158,7 @@ class TestRetrieveBatch:
     def test_k_zero_returns_empty(self, retriever):
         vec = retriever.encode_question(QUESTIONS[0])
         assert retriever.retrieve_by_vector(vec, k=0) == []
-        assert retriever.retrieve_by_vector_legacy(vec, k=0) == []
+        assert reference_retrieve(retriever, vec, k=0) == []
 
 
 class TestCandidateIds:
@@ -133,9 +180,7 @@ class TestCandidateIds:
         with pytest.raises(KeyError, match="not in corpus"):
             retriever.retrieve_by_vector(vec, k=3, candidate_ids=[0, 10_000])
         with pytest.raises(KeyError, match="not in corpus"):
-            retriever.retrieve_by_vector_legacy(
-                vec, k=3, candidate_ids=[0, 10_000]
-            )
+            reference_retrieve(retriever, vec, k=3, candidate_ids=[0, 10_000])
 
     def test_negative_id_raises_key_error(self, retriever):
         vec = retriever.encode_question(QUESTIONS[0])
@@ -144,7 +189,8 @@ class TestCandidateIds:
 
     def test_candidate_without_triples_scores_empty(self, retriever, corpus):
         """A corpus doc with no triples is a valid candidate: it gets the
-        empty-document sentinel score and no explanation (legacy semantics),
+        empty-document sentinel score and no explanation (as in the
+        reference scorer),
         not a crash."""
         # fabricate a triple-less candidate by picking an id the store
         # doesn't know: none exist in the fixture, so simulate via a store
@@ -160,10 +206,10 @@ class TestCandidateIds:
             assert len(results) == 1
             assert results[0].score == -1.0
             assert results[0].matched_triple is None
-            legacy = retriever.retrieve_by_vector_legacy(
-                vec, k=3, candidate_ids=[doc_id]
+            reference = reference_retrieve(
+                retriever, vec, k=3, candidate_ids=[doc_id]
             )
-            assert legacy[0].score == -1.0
+            assert reference[0].score == -1.0
         finally:
             retriever.store._triples[doc_id] = removed
             retriever.refresh_embeddings()
@@ -177,8 +223,6 @@ class TestTripleScores:
     def test_triple_scores_match_doc_embeddings(self, retriever):
         """`triple_scores` (fast path) equals cosine against the cached
         per-document matrix."""
-        from repro.retriever.strategies import cosine_matrix
-
         vec = retriever.encode_question(QUESTIONS[2])
         for doc_id in retriever.store.doc_ids()[:5]:
             fast = retriever.triple_scores(vec, doc_id)

@@ -1,9 +1,9 @@
 """Property tests for reduceat-based segment aggregation.
 
-`aggregate_segments` must equal the scalar `ScoreStrategy.aggregate` /
-`matched_index` applied segment-by-segment, for arbitrary segment layouts
-— including empty segments (documents without triples) anywhere in the
-corpus, score ties, and single-segment corpora.
+`aggregate_segments` must equal the reference scorer's scalar `aggregate`
+/ `matched_index` applied segment-by-segment, for arbitrary segment
+layouts — including empty segments (documents without triples) anywhere
+in the corpus, score ties, and single-segment corpora.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ from repro.retriever.strategies import (
     aggregate_segments,
     segment_lengths,
 )
+from reference_scoring import aggregate, matched_index
 
 # scores drawn from a small grid to exercise exact ties; segment lengths
 # include 0 so empty documents land between, before and after real ones
@@ -39,8 +40,8 @@ def _naive(scores, offsets, strategy):
     aggregated, matched = [], []
     for start, stop in zip(bounds, bounds[1:]):
         segment = scores[start:stop]
-        aggregated.append(strategy.aggregate(segment))
-        matched.append(strategy.matched_index(segment))
+        aggregated.append(aggregate(strategy, segment))
+        matched.append(matched_index(segment))
     return np.asarray(aggregated), np.asarray(matched)
 
 
@@ -97,3 +98,12 @@ def test_unknown_strategy_raises():
         aggregate_segments(
             np.array([1.0]), np.array([0]), ScoreStrategy("bogus")
         )
+    # rejected where it is configured, before any query runs
+    with pytest.raises(ValueError, match="unknown strategy"):
+        ScoreStrategy("bogus")
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_top_k_rejects_k_below_one(k):
+    with pytest.raises(ValueError, match="k >= 1"):
+        ScoreStrategy(TOP_K, k=k)

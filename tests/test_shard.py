@@ -15,8 +15,14 @@ The load-bearing claims:
 import numpy as np
 import pytest
 
+from repro.perf import COUNTERS
 from repro.retriever.single import SingleRetriever
-from repro.retriever.strategies import ONE_FACT, TOP_K, ScoreStrategy
+from repro.retriever.strategies import (
+    ONE_FACT,
+    TOP_K,
+    ScoreStrategy,
+    l2_normalize_rows,
+)
 from repro.shard import (
     ShardedEmbeddingStore,
     ShardedStoreError,
@@ -217,6 +223,35 @@ class TestShardParity:
         sharder.detach_shards()
         with pytest.raises(ValueError, match="nprobe"):
             sharder.retrieve_many(QUESTIONS, k=3, nprobe=1)
+
+
+class TestScoringCounters:
+    def test_pruned_search_counts_probed_rows(self, sharder, hotpot):
+        """`docs_scored` / `triples_scored` sum what each query scored:
+        the rows and documents of its probed shards only."""
+        questions = [q.text for q in hotpot.all_questions[:8]]
+        plan = sharder.build_shards(4, mode="centroid")
+        try:
+            before = COUNTERS.snapshot()
+            sharder.retrieve_many(questions, k=3, nprobe=1)
+            after = COUNTERS.snapshot()
+            queries = l2_normalize_rows(sharder.encode_questions(questions))
+        finally:
+            sharder.detach_shards()
+        probed = [
+            plan.shards[int(shard_id)]
+            for shard_ids in plan.probe(queries, 1)
+            for shard_id in shard_ids
+        ]
+        # the queries must probe shards of different sizes, or a
+        # per-batch maximum would pass for the sum
+        assert len({shard.n_rows for shard in probed}) > 1
+        assert after["triples_scored"] - before["triples_scored"] == sum(
+            shard.n_rows for shard in probed
+        )
+        assert after["docs_scored"] - before["docs_scored"] == sum(
+            len(shard) for shard in probed
+        )
 
 
 # ---------------------------------------------------------------------------
