@@ -262,14 +262,25 @@ class ExceptPass(Rule):
 # ---------------------------------------------------------------------------
 
 _ENCODE_ATTRS = frozenset({"encode_numpy"})
-_PERF_MARKERS = frozenset(
-    {"COUNTERS", "record_encode", "record_scoring", "time_block"}
-)
+#: the recording call, and the timer whose reading a recording follows
+_PERF_MARKERS = frozenset({"COUNTERS.incr", "time_block"})
+
+
+def _dotted_names(node: ast.AST) -> Iterator[str]:
+    """Every bare name and one-level ``name.attr`` inside ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(
+            sub.value, ast.Name
+        ):
+            yield f"{sub.value.id}.{sub.attr}"
 
 
 @register
 class MissingPerfCounter(Rule):
-    """Hot-path encoder calls must increment ``repro.perf`` counters.
+    """Hot-path encoder calls must increment ``repro.perf`` counters
+    (``COUNTERS.incr("encode_calls")`` and friends).
 
     The vectorized retrieval work made encoder invocations the observable
     cost driver; a hot-path function that encodes without counting makes
@@ -300,7 +311,7 @@ class MissingPerfCounter(Rule):
                 continue
             references = set()
             for stmt in node.body:
-                references.update(_identifiers(stmt))
+                references.update(_dotted_names(stmt))
             if references & _PERF_MARKERS:
                 continue
             first = min(encode_calls, key=lambda call: call.lineno)
@@ -308,7 +319,7 @@ class MissingPerfCounter(Rule):
                 ctx,
                 first,
                 f"{node.name}() calls the encoder but never records "
-                "repro.perf counters (COUNTERS.record_encode/record_scoring)",
+                "repro.perf counters (COUNTERS.incr(\"encode_calls\"))",
             )
 
 

@@ -68,7 +68,8 @@ class DenseRetriever:
         """(Re-)encode every document into the MIPS matrix."""
         texts = [self.document_text(d.doc_id) for d in self.corpus]
         matrix = self.encoder.encode_numpy(texts, batch_size=batch_size)
-        COUNTERS.record_encode(len(texts))
+        COUNTERS.incr("encode_calls")
+        COUNTERS.incr("texts_encoded", len(texts))
         self._doc_normed = l2_normalize_rows(matrix)
 
     def _ensure_fresh(self) -> None:
@@ -78,14 +79,16 @@ class DenseRetriever:
     # -- retrieval ----------------------------------------------------------
     def encode_query(self, query: str) -> np.ndarray:
         """Normalized query embedding."""
-        COUNTERS.record_encode(1)
+        COUNTERS.incr("encode_calls")
+        COUNTERS.incr("texts_encoded")
         return l2_normalize_vec(self.encoder.encode_numpy([query])[0])
 
     def encode_queries(self, queries: Sequence[str]) -> np.ndarray:
         """Row-normalized query embeddings, one encoder pass."""
         if not queries:
             return np.zeros((0, self.encoder.config.dim))
-        COUNTERS.record_encode(len(queries))
+        COUNTERS.incr("encode_calls")
+        COUNTERS.incr("texts_encoded", len(queries))
         return l2_normalize_rows(self.encoder.encode_numpy(list(queries)))
 
     def retrieve(
@@ -104,10 +107,12 @@ class DenseRetriever:
         self._ensure_fresh()
         with time_block() as elapsed:
             scores = self._doc_normed @ query_vec
-        COUNTERS.record_scoring(
-            1, self._doc_normed.shape[0], self._doc_normed.shape[0],
-            elapsed(),
-        )
+        n_docs = self._doc_normed.shape[0]
+        COUNTERS.incr("matmul_calls")
+        COUNTERS.incr("matmul_seconds", elapsed())
+        COUNTERS.incr("queries")
+        COUNTERS.incr("docs_scored", n_docs)
+        COUNTERS.incr("triples_scored", n_docs)
         return self._top_k(scores, k, exclude)
 
     def retrieve_batch(
@@ -127,7 +132,11 @@ class DenseRetriever:
         with time_block() as elapsed:
             score_matrix = queries @ self._doc_normed.T
         scored = queries.shape[0] * self._doc_normed.shape[0]
-        COUNTERS.record_scoring(queries.shape[0], scored, scored, elapsed())
+        COUNTERS.incr("matmul_calls")
+        COUNTERS.incr("matmul_seconds", elapsed())
+        COUNTERS.incr("queries", queries.shape[0])
+        COUNTERS.incr("docs_scored", scored)
+        COUNTERS.incr("triples_scored", scored)
         return [
             self._top_k(
                 row, k, exclude[i] if exclude is not None else None

@@ -41,7 +41,13 @@ from repro.data.hotpot import build_hotpot_dataset
 from repro.data.world import World, WorldConfig
 from repro.encoder.minibert import EncoderConfig
 from repro.eval.metrics import RetrievalScorecard, path_exact_match
-from repro.perf import COUNTERS
+from repro.perf import (
+    COUNTERS,
+    encoder_throughput,
+    format_stats,
+    merge,
+    ratio,
+)
 from repro.pipeline.framework import FrameworkConfig, TripleFactRetrieval
 from repro.retriever.trainer import TrainerConfig
 from repro.storage.atomic import atomic_write_json
@@ -151,7 +157,7 @@ def cmd_ingest(args) -> int:
             + (" with int8 sidecars" if args.quantize else "")
         )
     if args.stats:
-        print(result.stats.summary())
+        _print_stats("ingest stats", result.stats.as_dict())
     return 0
 
 
@@ -159,6 +165,12 @@ def _read_query_file(path: Path):
     """Non-empty stripped lines of a query file (one question per line)."""
     lines = path.read_text(encoding="utf-8").splitlines()
     return [line.strip() for line in lines if line.strip()]
+
+
+def _print_stats(title: str, snapshot: dict) -> None:
+    """A ``--stats`` block: the snapshot plus its encoder tokens/s."""
+    snapshot["tokens_per_sec"] = encoder_throughput(snapshot)["tokens_per_sec"]
+    print(format_stats(title, snapshot))
 
 
 def cmd_query(args) -> int:
@@ -188,7 +200,7 @@ def cmd_query(args) -> int:
             print(path.explain())
             print()
     if args.stats:
-        print(COUNTERS.summary())
+        _print_stats("perf counters", COUNTERS.snapshot())
     return 0
 
 
@@ -208,7 +220,7 @@ def cmd_eval(args) -> int:
         print(f"  {qtype}: PEM@8 = {card.rate(qtype):.3f}")
     print(f"  total: PEM@8 = {card.total:.3f}")
     if args.stats:
-        print(COUNTERS.summary())
+        _print_stats("perf counters", COUNTERS.snapshot())
     return 0
 
 
@@ -369,7 +381,7 @@ def cmd_serve_bench(args) -> int:
             "store_generation": getattr(
                 system.retriever, "store_generation", None
             ),
-            "encoder": COUNTERS.encoder_throughput(),
+            "encoder": encoder_throughput(COUNTERS.snapshot()),
         }
         print(json.dumps(snapshot, indent=2, sort_keys=True))
     else:
@@ -520,14 +532,10 @@ def cmd_net_bench(args) -> int:
     generations = sorted(
         {w.get("generation") for w in stats.get("workers", [])}
     )
-    # fleet-wide encoder token throughput: sum tokens and encode time
+    # fleet-wide encoder token throughput: tokens and encode time summed
     # across the worker processes' own counters
-    encoder_tokens = 0
-    encoder_seconds = 0.0
-    for worker in stats.get("workers", []):
-        encoder = worker.get("encoder") or {}
-        encoder_tokens += int(encoder.get("tokens", 0))
-        encoder_seconds += float(encoder.get("seconds", 0.0))
+    encoder = merge(w.get("encoder") for w in stats.get("workers", []))
+    tokens, seconds = encoder.get("tokens", 0), encoder.get("seconds", 0.0)
     payload = {
         "run": {
             "mode": args.mode,
@@ -539,13 +547,9 @@ def cmd_net_bench(args) -> int:
             "nprobe": args.nprobe,
             "store_generations": generations,
             "encoder": {
-                "tokens": encoder_tokens,
-                "seconds": encoder_seconds,
-                "tokens_per_sec": (
-                    encoder_tokens / encoder_seconds
-                    if encoder_seconds > 0
-                    else 0.0
-                ),
+                "tokens": tokens,
+                "seconds": seconds,
+                "tokens_per_sec": ratio(tokens, seconds),
             },
         },
         "frontdoor": stats.get("frontdoor"),

@@ -198,9 +198,8 @@ class MiniBertEncoder:
                 ids, mask = self._pad_bucket([encoded[i] for i in bucket], dtype)
                 hidden = session.forward(ids, mask=mask)
                 out[bucket] = self._pool(hidden, ids, mask)
-        COUNTERS.record_encode_tokens(
-            sum(len(seq) for seq in encoded), elapsed()
-        )
+        COUNTERS.incr("tokens_encoded", sum(len(seq) for seq in encoded))
+        COUNTERS.incr("encode_seconds", elapsed())
         return out
 
     def _pad_bucket(
@@ -248,9 +247,10 @@ class MiniBertEncoder:
                 for start in range(0, len(texts), batch_size):
                     chunk = texts[start : start + batch_size]
                     chunks.append(cast_matrix(self.encode(chunk).numpy(), dtype))
-            COUNTERS.record_encode_tokens(
-                sum(len(self.text_to_ids(t)) for t in texts), elapsed()
+            COUNTERS.incr(
+                "tokens_encoded", sum(len(self.text_to_ids(t)) for t in texts)
             )
+            COUNTERS.incr("encode_seconds", elapsed())
             return np.concatenate(chunks, axis=0) if chunks else np.zeros(
                 (0, self.config.dim), dtype=dtype
             )

@@ -155,33 +155,6 @@ class IngestStats:
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)
 
-    def summary(self) -> str:
-        """Human-readable block (CLI ``repro ingest --stats``)."""
-        return "\n".join(
-            [
-                "ingest stats:",
-                f"  documents:  {self.docs_total}"
-                f" ({self.docs_extracted} extracted,"
-                f" {self.docs_reused} reused)",
-                f"  triples:    {self.triples_total}",
-                f"  embed rows: {self.rows_total}"
-                f" ({self.rows_encoded} encoded, {self.rows_reused} reused)",
-                f"  link:       {self.link_seconds * 1e3:.1f} ms",
-                f"  extract:    {self.extract_seconds * 1e3:.1f} ms"
-                f" ({self.workers} worker(s))",
-                f"  encode:     {self.encode_seconds * 1e3:.1f} ms"
-                f" ({self.tokens_encoded} tokens,"
-                f" {self.tokens_per_sec():.0f} tokens/s)",
-                f"  save:       {self.save_seconds * 1e3:.1f} ms",
-            ]
-        )
-
-    def tokens_per_sec(self) -> float:
-        """Encoder token throughput of this run (the ingest ceiling)."""
-        if self.encode_seconds <= 0:
-            return 0.0
-        return self.tokens_encoded / self.encode_seconds
-
 
 @dataclass
 class IngestResult:
@@ -312,12 +285,12 @@ class IngestPipeline:
         stats.docs_extracted = len(fresh)
         stats.docs_reused = stats.docs_total - stats.docs_extracted
         stats.triples_total = store.total_triples()
-        COUNTERS.record_extract(
-            n_docs=stats.docs_extracted,
-            n_reused=stats.docs_reused,
-            n_triples=sum(len(t) for t in fresh.values()),
-            seconds=stats.extract_seconds,
+        COUNTERS.incr("docs_extracted", stats.docs_extracted)
+        COUNTERS.incr("docs_extract_reused", stats.docs_reused)
+        COUNTERS.incr(
+            "triples_extracted", sum(len(t) for t in fresh.values())
         )
+        COUNTERS.incr("extract_seconds", stats.extract_seconds)
         manifest = {
             "version": MANIFEST_VERSION,
             "construction_fingerprint": construction_fp,
@@ -354,14 +327,14 @@ class IngestPipeline:
             except EmbeddingStoreError:
                 # no prior generation (or an unreadable one): cold encode
                 retriever.detach_embeddings()
-        tokens_before = COUNTERS.encoder_throughput()["tokens"]
+        tokens_before = COUNTERS.snapshot()["tokens_encoded"]
         with time_block() as elapsed:
             stats.rows_encoded = retriever.refresh_embeddings(
                 batch_size=self.batch_size
             )
         stats.encode_seconds = elapsed()
         stats.tokens_encoded = (
-            COUNTERS.encoder_throughput()["tokens"] - tokens_before
+            COUNTERS.snapshot()["tokens_encoded"] - tokens_before
         )
         stats.rows_total = result.store.total_triples()
         stats.rows_reused = stats.rows_total - stats.rows_encoded

@@ -18,6 +18,12 @@ hot-rolls the fleet onto new store generations mid-traffic::
         with NetClient(fleet.address) as client:
             docs = client.retrieve("who founded Millwall ?", k=5)
             client.reload("artifacts/")  # hot swap to a new generation
+            stats = client.stats()       # one frame, whole fleet
+
+Every figure in that ``stats`` frame comes from a
+:class:`repro.perf.Stats`: the front door's own, the supervisor's, and
+each worker's service and encoder counters, with ``aggregate`` their
+:func:`repro.perf.merge`.
 """
 
 from __future__ import annotations

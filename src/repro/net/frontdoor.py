@@ -3,8 +3,11 @@
 Clients speak the same length-prefixed JSON protocol the workers do; the
 front door multiplexes every client request onto per-worker links
 (least-pending routing), matches responses by wire id, and measures true
-end-to-end latency in its own reservoir — the authoritative p50/p95/p99
-for the fleet, since per-worker percentiles cannot be merged exactly.
+end-to-end latency in its own :class:`repro.perf.Stats` — the
+authoritative p50/p95/p99 for the fleet, since per-worker percentiles
+cannot be merged exactly. Its ``stats`` op answers with that snapshot,
+the supervisor's (restarts, rollouts, failed respawns), every worker's
+service and encoder snapshot, and their :func:`repro.perf.merge`.
 
 **Crash recovery.** A lost worker link re-dispatches that link's
 in-flight requests onto surviving workers (bounded attempts). Queries
@@ -35,8 +38,8 @@ from repro.net.protocol import (
     write_frame_async,
 )
 from repro.net.supervisor import Supervisor, WorkerHandle
-from repro.perf import LatencyReservoir
-from repro.serve import merge_snapshots
+from repro.perf import Stats, merge
+from repro.serve import service_readouts
 
 
 class _Inflight:
@@ -140,14 +143,10 @@ class FrontDoor:
         self.max_attempts = max_attempts
         self.dispatch_timeout_s = dispatch_timeout_s
         self.request_timeout_s = request_timeout_s
-        self.latencies = LatencyReservoir()
-        # counters are only touched on the loop thread; the lock guards
-        # cross-thread snapshot reads
-        self._counter_lock = threading.Lock()
-        self._submitted = 0
-        self._completed = 0
-        self._failed = 0
-        self._retried = 0
+        self.stats = Stats(
+            "submitted", "completed", "failed", "retried",
+            latencies=("latency_ms",),
+        )
         self._links: Dict[Tuple[int, int], _WorkerLink] = {}
         self._links_changed: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -270,8 +269,7 @@ class FrontDoor:
         for inflight in orphans:
             if inflight.future.done():
                 continue
-            with self._counter_lock:
-                self._retried += 1
+            self.stats.incr("retried")
             asyncio.create_task(self._dispatch(inflight))
 
     def _pick_link(self) -> Optional[_WorkerLink]:
@@ -393,8 +391,7 @@ class FrontDoor:
         }
         payload.setdefault("op", "query")
         started = self._loop.time()
-        with self._counter_lock:
-            self._submitted += 1
+        self.stats.incr("submitted")
         inflight = _Inflight(payload, self._loop.create_future())
         await self._dispatch(inflight)
         try:
@@ -406,12 +403,8 @@ class FrontDoor:
                 None, "TimeoutError",
                 f"no worker response within {self.request_timeout_s}s",
             )
-        self.latencies.record(self._loop.time() - started)
-        with self._counter_lock:
-            if response.get("ok"):
-                self._completed += 1
-            else:
-                self._failed += 1
+        self.stats.observe("latency_ms", self._loop.time() - started)
+        self.stats.incr("completed" if response.get("ok") else "failed")
         return dict(response)
 
     async def _serve_stats(self) -> Dict[str, Any]:
@@ -440,8 +433,11 @@ class FrontDoor:
             "ok": True,
             "op": "stats",
             "frontdoor": self.stats_snapshot(),
+            "supervisor": self.supervisor.stats.snapshot(),
             "workers": sorted(workers, key=lambda w: w["slot"]),
-            "aggregate": merge_snapshots(snapshots),
+            "aggregate": service_readouts(
+                merge(snapshots, count_key="workers")
+            ),
         }
 
     async def _serve_reload(self, frame: Dict[str, Any]) -> Dict[str, Any]:
@@ -456,16 +452,6 @@ class FrontDoor:
 
     # -- observability (sync-world safe) ----------------------------------
     def stats_snapshot(self) -> Dict[str, Any]:
-        with self._counter_lock:
-            out = {
-                "submitted": self._submitted,
-                "completed": self._completed,
-                "failed": self._failed,
-                "retried": self._retried,
-                "workers_linked": len(self._links),
-            }
-        out["latency_ms"] = {
-            name: seconds * 1e3
-            for name, seconds in self.latencies.percentiles().items()
-        }
-        return out
+        snapshot = self.stats.snapshot()
+        snapshot["workers_linked"] = len(self._links)
+        return snapshot

@@ -33,6 +33,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.ingest.embedding_store import store_generation
 from repro.net.protocol import ProtocolError, recv_frame, send_frame
 from repro.net.worker import WorkerSpec, worker_main
+from repro.perf import Stats
 
 
 class SupervisorError(RuntimeError):
@@ -99,8 +100,9 @@ class Supervisor:
         self._slots: Dict[int, WorkerHandle] = {}
         self._store_dir = spec.store_dir
         self._incarnations = 0
-        self._restarts = 0
-        self._rollouts = 0
+        # respawn_failures counts health-loop respawns that raised; the
+        # slot stays dead until a later tick brings it back
+        self.stats = Stats("restarts", "rollouts", "respawn_failures")
         self._stop = threading.Event()
         self._health_thread: Optional[threading.Thread] = None
 
@@ -149,13 +151,11 @@ class Supervisor:
 
     @property
     def restarts(self) -> int:
-        with self._lock:
-            return self._restarts
+        return self.stats.snapshot()["restarts"]
 
     @property
     def rollouts(self) -> int:
-        with self._lock:
-            return self._rollouts
+        return self.stats.snapshot()["rollouts"]
 
     @property
     def store_dir(self) -> Optional[str]:
@@ -229,9 +229,9 @@ class Supervisor:
                 try:
                     self._spawn(slot)
                 except SupervisorError:
+                    self.stats.incr("respawn_failures")
                     continue  # next tick retries the slot
-                with self._lock:
-                    self._restarts += 1
+                self.stats.incr("restarts")
                 restarted = True
             if restarted:
                 self._notify()
@@ -290,8 +290,7 @@ class Supervisor:
                 generation = replacement.generation
                 self._notify()
             generations.append(generation)
-        with self._lock:
-            self._rollouts += 1
+        self.stats.incr("rollouts")
         return generations
 
     def _slots_snapshot(self) -> Dict[int, WorkerHandle]:

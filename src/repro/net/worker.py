@@ -40,7 +40,7 @@ from repro.net.protocol import (
     results_to_wire,
     send_frame,
 )
-from repro.perf import COUNTERS
+from repro.perf import COUNTERS, encoder_throughput
 from repro.retriever.store import TripleStore
 from repro.serve import RetrievalService, ServiceConfig
 
@@ -248,7 +248,7 @@ class WorkerRuntime:
                     "stats": service.stats_snapshot(),
                     # this process's encoder token throughput (warm paths
                     # only encode the query; cold paths the whole corpus)
-                    "encoder": COUNTERS.encoder_throughput(),
+                    "encoder": encoder_throughput(COUNTERS.snapshot()),
                 }
             return stats
         if op == "reload":

@@ -87,7 +87,8 @@ class PathRanker:
         scalars, path_text = self._scalar_features(
             question, self.retriever.encode_question(question), path
         )
-        COUNTERS.record_encode(1)
+        COUNTERS.incr("encode_calls")
+        COUNTERS.incr("texts_encoded")
         embedding = self.retriever.encoder.encode_numpy([path_text])[0]
         return np.concatenate([embedding, scalars]), path_text
 
@@ -158,7 +159,8 @@ class PathRanker:
             )
             scalar_rows.append(scalars)
             path_texts.append(path_text)
-        COUNTERS.record_encode(len(path_texts))
+        COUNTERS.incr("encode_calls")
+        COUNTERS.incr("texts_encoded", len(path_texts))
         embeddings = self.retriever.encoder.encode_numpy(path_texts)
         return np.concatenate([embeddings, np.stack(scalar_rows)], axis=1)
 

@@ -160,7 +160,8 @@ class SingleRetriever:
                     ),
                     self.precision.dtype,
                 )
-                COUNTERS.record_encode(len(dirty_texts))
+                COUNTERS.incr("encode_calls")
+                COUNTERS.incr("texts_encoded", len(dirty_texts))
             else:
                 encoded = np.zeros((0, dim), dtype=self.precision.dtype)
             attached = self._attached
@@ -205,11 +206,9 @@ class SingleRetriever:
             self._lengths = segment_lengths(self._offsets_arr, start)
             self._encoder_fp = current_fp
             self._rebuild_plan()
-        COUNTERS.record_embed_refresh(
-            n_encoded=len(dirty_texts),
-            n_reused=start - len(dirty_texts),
-            seconds=elapsed(),
-        )
+        COUNTERS.incr("rows_encoded", len(dirty_texts))
+        COUNTERS.incr("rows_reused", start - len(dirty_texts))
+        COUNTERS.incr("refresh_seconds", elapsed())
         return len(dirty_texts)
 
     def attach_embeddings(self, embeddings: EmbeddingStore) -> int:
@@ -384,7 +383,8 @@ class SingleRetriever:
     # -- retrieval ----------------------------------------------------------
     def encode_question(self, question: str) -> np.ndarray:
         """The question's [CLS] embedding as a numpy vector."""
-        COUNTERS.record_encode(1)
+        COUNTERS.incr("encode_calls")
+        COUNTERS.incr("texts_encoded")
         return cast_matrix(
             self.encoder.encode_numpy([question])[0], self.precision.dtype
         )
@@ -395,7 +395,8 @@ class SingleRetriever:
             return np.zeros(
                 (0, self.encoder.config.dim), dtype=self.precision.dtype
             )
-        COUNTERS.record_encode(len(questions))
+        COUNTERS.incr("encode_calls")
+        COUNTERS.incr("texts_encoded", len(questions))
         return cast_matrix(
             self.encoder.encode_numpy(list(questions)), self.precision.dtype
         )
@@ -577,12 +578,15 @@ class SingleRetriever:
                 )
             else:
                 scored = plan.search(queries_normed, strategy, nprobe)
-        COUNTERS.record_scoring(
-            n_queries=n_queries,
-            n_docs=sum(int(q.doc_ids.shape[0]) for q in scored),
-            n_triples=sum(q.n_triples for q in scored),
-            seconds=elapsed(),
+        # per-batch totals: what each query actually scored, so pruned
+        # shards and int8-rescore cuts are not counted
+        COUNTERS.incr("matmul_calls")
+        COUNTERS.incr("matmul_seconds", elapsed())
+        COUNTERS.incr("queries", n_queries)
+        COUNTERS.incr(
+            "docs_scored", sum(int(q.doc_ids.shape[0]) for q in scored)
         )
+        COUNTERS.incr("triples_scored", sum(q.n_triples for q in scored))
         return [
             self._materialize(query_scores, k, keep_triple_scores)
             for query_scores in scored

@@ -11,22 +11,29 @@ The production-facing layer over the vectorized retrievers::
 
 See ``repro serve-bench`` for a CLI harness that replays a query file
 from many client threads and reports throughput/latency/cache stats.
+The service and its cache each record into a :class:`repro.perf.Stats`;
+``stats_snapshot()`` joins them and :func:`service_readouts` derives
+the ratios (mean batch size, cache hit ratio) from the counters, for
+one service or a fleet-wide :func:`repro.perf.merge` alike.
 """
 
 from repro.serve.batching import BatchQueue, PendingRequest
-from repro.serve.cache import MISS, CacheStats, ResultCache, query_cache_key
+from repro.serve.cache import MISS, ResultCache, query_cache_key
 from repro.serve.errors import (
     DeadlineExceeded,
     Overloaded,
     ServeError,
     ServiceStopped,
 )
-from repro.serve.service import MODES, RetrievalService, ServiceConfig
-from repro.serve.stats import ServiceStats, merge_snapshots
+from repro.serve.service import (
+    MODES,
+    RetrievalService,
+    ServiceConfig,
+    service_readouts,
+)
 
 __all__ = [
     "BatchQueue",
-    "CacheStats",
     "DeadlineExceeded",
     "MISS",
     "MODES",
@@ -36,8 +43,7 @@ __all__ = [
     "RetrievalService",
     "ServeError",
     "ServiceConfig",
-    "ServiceStats",
     "ServiceStopped",
-    "merge_snapshots",
     "query_cache_key",
+    "service_readouts",
 ]

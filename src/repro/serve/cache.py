@@ -21,9 +21,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional, Tuple
 
+from repro.perf import Stats
 from repro.text.tokenize import normalize
 
 #: Sentinel distinguishing "miss" from a cached None value.
@@ -56,33 +56,6 @@ def query_cache_key(
     return (mode, int(k), nprobe, precision, normalize(question))
 
 
-@dataclass
-class CacheStats:
-    """Counters of one cache instance (monotonically increasing)."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0  # LRU capacity evictions
-    expirations: int = 0  # TTL expiries observed on access
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def snapshot(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "expirations": self.expirations,
-            "hit_ratio": self.hit_ratio,
-        }
-
-
 class ResultCache:
     """Thread-safe LRU cache with optional TTL expiry.
 
@@ -105,7 +78,9 @@ class ResultCache:
             OrderedDict()
         )
         self._lock = threading.Lock()
-        self.stats = CacheStats()
+        # monotonically increasing; evictions are LRU capacity evictions,
+        # expirations the TTL expiries observed on access or sweep
+        self.stats = Stats("hits", "misses", "evictions", "expirations")
 
     def __len__(self) -> int:
         with self._lock:
@@ -122,18 +97,18 @@ class ResultCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.stats.misses += 1
+                self.stats.incr("misses")
                 return _MISS
             stored_at, value = entry
             if self.ttl_s is not None and (
                 self._clock() - stored_at >= self.ttl_s
             ):
                 del self._entries[key]
-                self.stats.expirations += 1
-                self.stats.misses += 1
+                self.stats.incr("expirations")
+                self.stats.incr("misses")
                 return _MISS
             self._entries.move_to_end(key)
-            self.stats.hits += 1
+            self.stats.incr("hits")
             return value
 
     def put(self, key: Hashable, value: Any) -> None:
@@ -160,7 +135,7 @@ class ResultCache:
                     stored_at, _ = self._entries[old_key]
                     if now - stored_at >= self.ttl_s:
                         del self._entries[old_key]
-                        self.stats.expirations += 1
+                        self.stats.incr("expirations")
             if key in self._entries:
                 self._entries.move_to_end(key)
             self._entries[key] = (now, value)
@@ -169,9 +144,9 @@ class ResultCache:
                 # an already-expired entry leaving under capacity pressure
                 # is an expiration, not a genuine LRU eviction
                 if self.ttl_s is not None and now - stored_at >= self.ttl_s:
-                    self.stats.expirations += 1
+                    self.stats.incr("expirations")
                 else:
-                    self.stats.evictions += 1
+                    self.stats.incr("evictions")
 
     def clear(self) -> None:
         with self._lock:

@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.perf import Stats, format_stats, ratio
 from repro.pipeline.multihop import MultiHopRetriever
 from repro.precision import PrecisionLike, parse_key, resolve
 from repro.retriever.single import SingleRetriever
@@ -43,9 +44,32 @@ from repro.serve.errors import (
     Overloaded,
     ServiceStopped,
 )
-from repro.serve.stats import ServiceStats
 
 MODES = ("single", "paths")
+
+
+def service_readouts(snapshot: Dict[str, Any]) -> Dict[str, Any]:
+    """Fill in the figures a service snapshot derives from its counters.
+
+    Batch counts come from the batch-size histogram and the ratios from
+    the counters. Applied to one service's snapshot and to a fleet-wide
+    :func:`repro.perf.merge` of them alike, so merged ratios come from
+    merged counters rather than a sum of per-worker ratios.
+    """
+    sizes = snapshot.get("batch_size_histogram", {})
+    snapshot["batches"] = sum(sizes.values())
+    snapshot["batched_requests"] = sum(
+        size * count for size, count in sizes.items()
+    )
+    snapshot["mean_batch_size"] = ratio(
+        snapshot["batched_requests"], snapshot["batches"]
+    )
+    cache = snapshot.get("cache")
+    if cache is not None:
+        cache["hit_ratio"] = ratio(
+            cache["hits"], cache["hits"] + cache["misses"]
+        )
+    return snapshot
 
 
 @dataclass
@@ -67,7 +91,6 @@ class ServiceConfig:
     # defers to the retriever's own policy. Part of the cache AND batch
     # keys, so quantized answers never serve an exact-mode request.
     default_precision: Optional[str] = None
-    latency_reservoir: int = 65536  # latency samples kept for percentiles
     # build the retriever's scoring matrices inside start() instead of on
     # the first request's worker thread — a warm-started (attached)
     # retriever finishes this without any encoder call
@@ -103,7 +126,19 @@ class RetrievalService:
             ttl_s=self.config.cache_ttl_s,
             clock=clock,
         )
-        self.stats = ServiceStats(self.config.latency_reservoir)
+        # request outcomes, batching (the batch-size histogram is the
+        # direct evidence coalescing happens) and end-to-end latency;
+        # cache hits are counted once, by the cache's own stats
+        self.stats = Stats(
+            "submitted",
+            "completed",
+            "rejected_overload",
+            "rejected_deadline",
+            "failed",
+            histograms=("batch_size_histogram",),
+            latencies=("latency_ms",),
+        )
+        self._started_at = time.perf_counter()
         self._threads: List[threading.Thread] = []
         self._state_lock = threading.Lock()
         self._running = False
@@ -156,7 +191,7 @@ class RetrievalService:
                     request.fail(
                         ServiceStopped("service stopped before serving")
                     )
-                    self.stats.record_failed()
+                    self.stats.incr("failed")
             threads, self._threads = self._threads, []
         for thread in threads:
             thread.join(timeout)
@@ -236,16 +271,16 @@ class RetrievalService:
             nprobe=nprobe,
             precision=precision_key,
         )
-        self.stats.record_submitted()
+        self.stats.incr("submitted")
         cached = self._cache.get(cache_key)
         if cached is not MISS:
             request.complete(cached)
-            self.stats.record_cache_hit()
+            self.stats.incr("completed")
             return request
         try:
             self._queue.put(request)
         except Overloaded:
-            self.stats.record_overloaded()
+            self.stats.incr("rejected_overload")
             raise
         return request
 
@@ -282,11 +317,18 @@ class RetrievalService:
     # -- observability ---------------------------------------------------
     def stats_snapshot(self) -> dict:
         """Service + cache counters as one JSON-ready dict."""
-        return self.stats.snapshot(self._cache.stats.snapshot())
+        snapshot = self.stats.snapshot()
+        cache = self._cache.stats.snapshot()
+        snapshot["cache_hits"] = cache["hits"]
+        snapshot["qps"] = ratio(
+            snapshot["completed"], time.perf_counter() - self._started_at
+        )
+        snapshot["cache"] = cache
+        return service_readouts(snapshot)
 
     def stats_summary(self) -> str:
         """Human-readable stats block."""
-        return self.stats.summary(self._cache.stats.snapshot())
+        return format_stats("service stats", self.stats_snapshot())
 
     # -- worker internals ------------------------------------------------
     def _worker_loop(self) -> None:
@@ -311,12 +353,12 @@ class RetrievalService:
                         f"({request.question[:60]!r})"
                     )
                 )
-                self.stats.record_deadline_exceeded()
+                self.stats.incr("rejected_deadline")
             else:
                 live.append(request)
         if not live:
             return
-        self.stats.record_batch(len(live))
+        self.stats.tally("batch_size_histogram", len(live))
         # coalesce duplicate (normalized) questions: one scored row can
         # answer several waiting clients
         row_of: Dict[Any, int] = {}
@@ -345,11 +387,14 @@ class RetrievalService:
         except Exception as error:  # surface to every waiting client
             for request in live:
                 request.fail(error)
-                self.stats.record_failed()
+                self.stats.incr("failed")
             return
         finished_at = time.perf_counter()
         for request in live:
             value = results[row_of[request.cache_key]]
             self._cache.put(request.cache_key, value)
             request.complete(value)
-            self.stats.record_completed(finished_at - request.submitted_at)
+            self.stats.incr("completed")
+            self.stats.observe(
+                "latency_ms", finished_at - request.submitted_at
+            )

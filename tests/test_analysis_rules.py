@@ -286,7 +286,8 @@ COMPLIANT = {
 
 
         def refresh(encoder, texts):
-            COUNTERS.record_encode(len(texts))
+            COUNTERS.incr("encode_calls")
+            COUNTERS.incr("texts_encoded", len(texts))
             matrix = encoder.encode_numpy(texts)
             return matrix
         """,

@@ -310,11 +310,11 @@ class TestLengthBucketing:
         assert out.dtype == bucketing_encoder.precision.dtype
 
     def test_counts_tokens(self, bucketing_encoder):
-        from repro.perf import COUNTERS
+        from repro.perf import COUNTERS, encoder_throughput
 
-        before = COUNTERS.encoder_throughput()
+        before = encoder_throughput(COUNTERS.snapshot())
         bucketing_encoder.encode_numpy(SENTENCES)
-        after = COUNTERS.encoder_throughput()
+        after = encoder_throughput(COUNTERS.snapshot())
         expected = sum(
             len(bucketing_encoder.text_to_ids(t)) for t in SENTENCES
         )

@@ -26,6 +26,7 @@ import pytest
 from repro.ingest.embedding_store import EmbeddingStore, store_generation
 from repro.net import (
     Fleet,
+    SupervisorError,
     WorkerSpec,
     canonical_json,
     publish_store,
@@ -41,8 +42,9 @@ from repro.net.protocol import (
 )
 from repro.net.worker import EMBEDDINGS_DIR, STORE_NAME
 from repro.oie.triple import Triple
+from repro.perf import merge
 from repro.retriever.store import TripleStore
-from repro.serve import RetrievalService, ServiceConfig, merge_snapshots
+from repro.serve import RetrievalService, ServiceConfig
 
 pytestmark = pytest.mark.net
 
@@ -184,7 +186,7 @@ def test_publish_store_bumps_generation(tmp_path):
 
 
 def test_merge_snapshots_sums_counters():
-    merged = merge_snapshots(
+    merged = merge(
         [
             {
                 "submitted": 3,
@@ -204,7 +206,8 @@ def test_merge_snapshots_sums_counters():
                 "latency_ms": {"p50": 2.0, "p99": 3.0},
                 "qps": 4.0,
             },
-        ]
+        ],
+        count_key="workers",
     )
     assert merged["submitted"] == 8
     assert merged["completed"] == 7
@@ -388,3 +391,34 @@ def test_worker_kill_mid_traffic_recovers_byte_identically(tmp_path):
     for mode, question, generation, payload in stream.responses:
         assert generation == 1
         assert payload == expected[(mode, question)]
+
+
+def test_failed_respawn_is_counted_in_stats_frame(tmp_path):
+    """A slot that cannot come back shows up as respawn_failures."""
+    bundle = synthetic_bundle(**BUNDLE_KWARGS)
+    store_dir = tmp_path / "store"
+    publish_store(bundle, store_dir)
+    with Fleet(
+        _spec(store_dir), workers=1, health_interval_s=0.05
+    ) as fleet:
+        supervisor = fleet.supervisor
+
+        def refuse(slot):
+            raise SupervisorError(f"worker {slot} refused to start")
+
+        supervisor._spawn = refuse
+        victim = supervisor.handles()[0].process
+        victim.kill()
+        victim.join(timeout=10.0)
+        failures = 0
+        deadline = time.monotonic() + 30.0
+        with fleet.client() as client:
+            while time.monotonic() < deadline:
+                frame = client.stats()
+                failures = frame["supervisor"]["respawn_failures"]
+                if failures >= 1:
+                    break
+                time.sleep(0.05)
+    assert failures >= 1
+    assert frame["supervisor"]["restarts"] == 0
+    assert frame["supervisor"]["rollouts"] == 0

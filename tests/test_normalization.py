@@ -62,9 +62,10 @@ class TestPerfCounterCoverage:
         dense = DenseRetriever(encoder, corpus)
         before = COUNTERS.snapshot()
         dense.refresh_embeddings()
-        assert COUNTERS.encode_calls == before["encode_calls"] + 1
+        after = COUNTERS.snapshot()
+        assert after["encode_calls"] == before["encode_calls"] + 1
         assert (
-            COUNTERS.texts_encoded == before["texts_encoded"] + len(corpus)
+            after["texts_encoded"] == before["texts_encoded"] + len(corpus)
         )
         # and the MIPS matrix rows are unit (or zero) after the refactor
         norms = np.linalg.norm(dense._doc_normed, axis=1)
@@ -86,11 +87,12 @@ class TestPerfCounterCoverage:
                 score=0.0,
             ),
         ]
-        before = COUNTERS.texts_encoded
+        before = COUNTERS.snapshot()["texts_encoded"]
         scores = ranker.score_paths("Who played for the club?", paths)
         assert scores.shape == (2,)
         # one question encode plus one batch over both path texts
-        assert COUNTERS.texts_encoded >= before + len(paths) + 1
+        after = COUNTERS.snapshot()["texts_encoded"]
+        assert after >= before + len(paths) + 1
 
 
 class TestUpdaterCosineFeature:

@@ -1,10 +1,32 @@
-"""Tests for ``repro.perf``: thread safety, percentiles, reservoir."""
+"""Tests for ``repro.perf``: the Stats registry, merge, percentiles."""
 
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.perf import LatencyReservoir, PerfCounters, percentile
+from repro.perf import (
+    LatencyReservoir,
+    Stats,
+    format_stats,
+    merge,
+    percentile,
+)
+
+
+def _scoring_stats() -> Stats:
+    return Stats(
+        "encode_calls",
+        "texts_encoded",
+        "matmul_calls",
+        "matmul_seconds",
+        "queries",
+        "docs_scored",
+        "triples_scored",
+        histograms=("batch_size_histogram",),
+        latencies=("latency_ms",),
+    )
 
 
 class TestPerfCountersThreadSafety:
@@ -12,14 +34,21 @@ class TestPerfCountersThreadSafety:
     N_INCREMENTS = 2000
 
     def test_concurrent_increments_are_exact(self):
-        counters = PerfCounters()
+        counters = _scoring_stats()
         barrier = threading.Barrier(self.N_THREADS)
 
         def hammer():
             barrier.wait()  # maximize interleaving
-            for _ in range(self.N_INCREMENTS):
-                counters.record_encode(3)
-                counters.record_scoring(2, 5, 7, 0.001)
+            for i in range(self.N_INCREMENTS):
+                counters.incr("encode_calls")
+                counters.incr("texts_encoded", 3)
+                counters.incr("matmul_calls")
+                counters.incr("matmul_seconds", 0.001)
+                counters.incr("queries", 2)
+                counters.incr("docs_scored", 5)
+                counters.incr("triples_scored", 7)
+                counters.tally("batch_size_histogram", 1 + i % 4)
+                counters.observe("latency_ms", 0.001)
 
         threads = [
             threading.Thread(target=hammer) for _ in range(self.N_THREADS)
@@ -40,19 +69,78 @@ class TestPerfCountersThreadSafety:
         assert snap["triples_scored"] == 7 * total
         # float accumulation is the update a lockless counter drops
         assert snap["matmul_seconds"] == pytest.approx(0.001 * total)
+        assert snap["batch_size_histogram"] == {
+            size: total // 4 for size in (1, 2, 3, 4)
+        }
+        reservoir = counters._latencies["latency_ms"]
+        assert reservoir.total_recorded == total
+        assert snap["latency_ms"]["max"] == pytest.approx(1.0)
 
     def test_reset_clears_every_field(self):
-        counters = PerfCounters()
-        counters.record_encode(4)
-        counters.record_scoring(1, 2, 3, 0.5)
+        counters = _scoring_stats()
+        counters.incr("encode_calls")
+        counters.incr("texts_encoded", 4)
+        counters.incr("matmul_seconds", 0.5)
+        counters.tally("batch_size_histogram", 3)
+        counters.observe("latency_ms", 0.2)
         counters.reset()
-        assert all(not value for value in counters.snapshot().values())
+        snap = counters.snapshot()
+        assert all(not snap[name] for name in snap if name != "latency_ms")
+        assert not any(snap["latency_ms"].values())
+
+    def test_undeclared_name_raises(self):
+        with pytest.raises(KeyError):
+            Stats("hits").incr("hit")
 
     def test_summary_reflects_snapshot(self):
-        counters = PerfCounters()
-        counters.record_encode(10)
-        text = counters.summary()
-        assert "encode calls:    1 (10 texts)" in text
+        counters = _scoring_stats()
+        counters.incr("encode_calls")
+        counters.incr("texts_encoded", 10)
+        text = format_stats("perf counters", counters.snapshot())
+        assert text.splitlines()[0] == "perf counters:"
+        assert "  encode_calls:         1\n" in text
+        assert "  texts_encoded:        10\n" in text
+
+
+#: one recorded event: (counter or histogram?, name index, value)
+_EVENTS = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=6),
+    ),
+    max_size=60,
+)
+
+
+class TestMerge:
+    @settings(max_examples=60, deadline=None)
+    @given(events=_EVENTS, n_parts=st.integers(min_value=1, max_value=5))
+    def test_merge_of_split_stream_equals_one_instance(
+        self, events, n_parts
+    ):
+        names = ("a", "b", "c")
+
+        def fresh() -> Stats:
+            return Stats(*names, histograms=("h0", "h1", "h2"))
+
+        whole = fresh()
+        parts = [fresh() for _ in range(n_parts)]
+        for index, (is_counter, name, value) in enumerate(events):
+            for stats in (whole, parts[index % n_parts]):
+                if is_counter:
+                    stats.incr(names[name], value)
+                else:
+                    stats.tally(f"h{name}", value)
+        merged = merge(stats.snapshot() for stats in parts)
+        assert merged == whole.snapshot()
+
+    def test_nested_sections_sum_and_empty_snapshots_skip(self):
+        merged = merge(
+            [{"cache": {"hits": 1}}, None, {}, {"cache": {"hits": 2}}],
+            count_key="n",
+        )
+        assert merged == {"cache": {"hits": 3}, "n": 2}
 
 
 class TestPercentile:

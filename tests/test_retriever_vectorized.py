@@ -145,9 +145,9 @@ class TestRetrieveBatch:
         vecs = np.stack(
             [retriever.encode_question(q) for q in QUESTIONS]
         )
-        before = COUNTERS.matmul_calls
+        before = COUNTERS.snapshot()["matmul_calls"]
         retriever.retrieve_batch(vecs, k=5)
-        assert COUNTERS.matmul_calls == before + 1
+        assert COUNTERS.snapshot()["matmul_calls"] == before + 1
 
     def test_empty_batch(self, retriever):
         out = retriever.retrieve_batch(

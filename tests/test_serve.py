@@ -31,6 +31,7 @@ from repro.serve import (
     ServiceConfig,
     ServiceStopped,
     query_cache_key,
+    service_readouts,
 )
 
 N_DOCS = 60
@@ -171,9 +172,11 @@ class TestResultCache:
         assert cache.get("a") is MISS
         cache.put("a", [1, 2])
         assert cache.get("a") == [1, 2]
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_ratio == 0.5
+        stats = cache.stats.snapshot()
+        assert stats["hits"] == 1
+        assert stats["misses"] == 1
+        ratios = service_readouts({"cache": stats})
+        assert ratios["cache"]["hit_ratio"] == 0.5
 
     def test_lru_eviction_order(self):
         cache = ResultCache(capacity=2)
@@ -184,14 +187,14 @@ class TestResultCache:
         assert cache.get("b") is MISS
         assert cache.get("a") == 1
         assert cache.get("c") == 3
-        assert cache.stats.evictions == 1
+        assert cache.stats.snapshot()["evictions"] == 1
 
     def test_put_existing_refreshes_not_evicts(self):
         cache = ResultCache(capacity=2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("a", 10)  # overwrite, no eviction
-        assert cache.stats.evictions == 0
+        assert cache.stats.snapshot()["evictions"] == 0
         cache.put("c", 3)  # now b is LRU
         assert cache.get("b") is MISS
         assert cache.get("a") == 10
@@ -204,7 +207,7 @@ class TestResultCache:
         assert cache.get("a") == 1
         clock.advance(1.0)  # age == ttl -> expired
         assert cache.get("a") is MISS
-        assert cache.stats.expirations == 1
+        assert cache.stats.snapshot()["expirations"] == 1
         assert len(cache) == 0
 
     def test_put_refreshes_ttl(self):
@@ -235,8 +238,8 @@ class TestResultCache:
         clock.advance(11.0)  # all six are now dead weight
         cache.put("fresh", 99)  # never looked the old ones up
         assert len(cache) == 1
-        assert cache.stats.expirations == 6
-        assert cache.stats.evictions == 0
+        assert cache.stats.snapshot()["expirations"] == 6
+        assert cache.stats.snapshot()["evictions"] == 0
         assert cache.get("fresh") == 99
 
     def test_sweep_work_per_insert_is_bounded(self):
@@ -251,7 +254,7 @@ class TestResultCache:
         cache.put("fresh", 99)
         # one insert reclaims at most _SWEEP_LIMIT expired entries
         assert len(cache) == n_old - _SWEEP_LIMIT + 1
-        assert cache.stats.expirations == _SWEEP_LIMIT
+        assert cache.stats.snapshot()["expirations"] == _SWEEP_LIMIT
 
     def test_expired_entry_leaving_under_pressure_counts_expiration(self):
         """Capacity pops of already-dead entries are not LRU evictions."""
@@ -262,8 +265,8 @@ class TestResultCache:
         cache.put("b", 2)  # sweep reclaims "a" -> expiration
         cache.put("c", 3)
         cache.put("d", 4)  # "b" is live -> genuine eviction
-        assert cache.stats.expirations == 1
-        assert cache.stats.evictions == 1
+        assert cache.stats.snapshot()["expirations"] == 1
+        assert cache.stats.snapshot()["evictions"] == 1
 
 
 # ---------------------------------------------------------------------------
