@@ -3,7 +3,8 @@
 Encodes a generated world's field texts twice through the same
 :class:`MiniBertEncoder` weights:
 
-* **graph** — ``encode_numpy_graph``, the autograd reference path
+* **graph** — ``encode_graph`` (``tests/reference_encoder.py``), the
+  autograd reference path
   (``Tensor`` ops in float64, cast at the boundary), and
 * **fused** — ``encode_numpy``, the :class:`repro.nn.infer` session
   (flat plan of fused numpy kernels, length-bucketed batches, compute
@@ -26,7 +27,9 @@ Writes ``BENCH_encoder.json`` next to this file. Marked ``perf`` +
 ``encoder``; tier-1 (``testpaths = tests``) never collects it.
 """
 
+import functools
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -40,6 +43,10 @@ from repro.precision import F64
 from repro.retriever import SingleRetriever, build_triple_store
 from repro.storage.atomic import atomic_write_json
 from repro.text import Vocab, tokenize
+
+# the graph reference path is a test oracle and lives with the tests
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from reference_encoder import encode_graph  # noqa: E402
 
 pytestmark = [pytest.mark.perf, pytest.mark.encoder]
 
@@ -112,8 +119,9 @@ def test_encoder_throughput(bench_setup):
 
     # -- throughput: graph reference vs fused session --------------------
     encoder.encode_numpy(texts[:8])  # warm (bake the session, touch BLAS)
-    encoder.encode_numpy_graph(texts[:8])
-    graph_s = _time_encode(encoder.encode_numpy_graph, texts)
+    graph_encode = functools.partial(encode_graph, encoder)
+    graph_encode(texts[:8])
+    graph_s = _time_encode(graph_encode, texts)
     fused_s = _time_encode(encoder.encode_numpy, texts)
     graph_tps = total_tokens / graph_s
     fused_tps = total_tokens / fused_s
@@ -134,7 +142,7 @@ def test_encoder_throughput(bench_setup):
 
     # -- downstream: top-k identical graph-encoded vs fused-encoded ------
     graph_encoder = _encoder(vocab, texts)
-    graph_encoder.encode_numpy = graph_encoder.encode_numpy_graph
+    graph_encoder.encode_numpy = functools.partial(encode_graph, graph_encoder)
     fused_encoder = _encoder(vocab, texts)
     graph_retriever = SingleRetriever(graph_encoder, store)
     graph_retriever.refresh_embeddings()

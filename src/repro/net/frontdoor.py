@@ -7,7 +7,8 @@ end-to-end latency in its own :class:`repro.perf.Stats` — the
 authoritative p50/p95/p99 for the fleet, since per-worker percentiles
 cannot be merged exactly. Its ``stats`` op answers with that snapshot,
 the supervisor's (restarts, rollouts, failed respawns), every worker's
-service and encoder snapshot, and their :func:`repro.perf.merge`.
+service, encoder and ``COUNTERS`` snapshot, and their :func:`merge` (a
+worker whose link dies before it answers is left out, not asked again).
 
 **Crash recovery.** A lost worker link re-dispatches that link's
 in-flight requests onto surviving workers (bounded attempts). Queries
@@ -269,6 +270,12 @@ class FrontDoor:
         for inflight in orphans:
             if inflight.future.done():
                 continue
+            if inflight.payload["op"] != "query":
+                # a control frame asks this worker: it fails with the link
+                inflight.future.set_result(
+                    _error_payload(None, "worker-unavailable", "link lost")
+                )
+                continue
             self.stats.incr("retried")
             asyncio.create_task(self._dispatch(inflight))
 
@@ -427,8 +434,11 @@ class FrontDoor:
                 "pending": answer.get("pending"),
                 "stats": answer.get("stats"),
                 "encoder": answer.get("encoder"),
+                "counters": answer.get("counters"),
             })
-            snapshots.append(answer.get("stats") or {})
+            snapshot = dict(answer.get("stats") or {})
+            snapshot["counters"] = answer.get("counters") or {}
+            snapshots.append(snapshot)
         return {
             "ok": True,
             "op": "stats",

@@ -238,6 +238,7 @@ class WorkerRuntime:
             def stats() -> Dict[str, Any]:
                 with self._swap_lock:
                     service, generation = self._service, self._generation
+                counters = COUNTERS.snapshot()
                 return {
                     "id": request_id,
                     "ok": True,
@@ -248,7 +249,8 @@ class WorkerRuntime:
                     "stats": service.stats_snapshot(),
                     # this process's encoder token throughput (warm paths
                     # only encode the query; cold paths the whole corpus)
-                    "encoder": encoder_throughput(COUNTERS.snapshot()),
+                    "encoder": encoder_throughput(counters),
+                    "counters": counters,
                 }
             return stats
         if op == "reload":

@@ -351,27 +351,6 @@ class Tensor:
         return Tensor(self.data[key], parents=(self,), grad_fns=(grad_fn,))
 
     @staticmethod
-    def concat(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        """Concatenate tensors along ``axis``."""
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-
-        def make_grad_fn(start: int, stop: int):
-            def grad_fn(g):
-                slicer = [slice(None)] * g.ndim
-                slicer[axis] = slice(start, stop)
-                return g[tuple(slicer)]
-
-            return grad_fn
-
-        grad_fns = [
-            make_grad_fn(int(offsets[i]), int(offsets[i + 1]))
-            for i in range(len(tensors))
-        ]
-        return Tensor(data, parents=tuple(tensors), grad_fns=tuple(grad_fns))
-
-    @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
         """Stack same-shape tensors along a new axis."""
         data = np.stack([t.data for t in tensors], axis=axis)

@@ -182,6 +182,7 @@ COUNTERS = Stats(
     "queries",  # query vectors scored
     "docs_scored",  # (query, document) pairs, summed over a batch's queries
     "triples_scored",  # (query, triple) pairs, likewise
+    "clue_triples_scored",  # candidate triples through an updater clue pass
     "docs_extracted",  # documents through triple extraction
     "docs_extract_reused",  # documents skipped by incremental ingest
     "triples_extracted",  # triples produced by extraction

@@ -1,8 +1,9 @@
 """Iterative retriever-updater document-path retrieval.
 
 Hop 1 fetches candidate documents with the single retriever; for each
-candidate the question updater selects an updater-clue triple and composes
-``q'``; hop 2 runs the single retriever with ``q'``. A path's score is the
+candidate the question updater selects an updater-clue triple from the
+document's indexed triples and composes ``q'``; hop 2 runs the single
+retriever with ``q'``. A path's score is the
 sum of its per-hop scores (paper Eq. 8) — the "Triple-fact Retrieval-base"
 configuration. Rescoring the resulting candidate paths with the path
 ranking model gives the full "Triple-fact Retrieval".
@@ -111,14 +112,8 @@ class MultiHopRetriever:
         nprobe: Optional[int] = None,
         precision: PrecisionLike = None,
     ) -> List[DocumentPath]:
-        """Top-k document paths for ``question`` (Eq. 8 scoring).
-
-        Hop 2 is batched: clue texts for the whole hop-1 beam are encoded
-        in one encoder pass and all hop-2 queries run as a single
-        :meth:`SingleRetriever.retrieve_batch` matmul instead of
-        ``k_hop1`` sequential retrievals. A single question is just a
-        batch of one — see :meth:`retrieve_paths_batch`.
-        """
+        """Top-k document paths for ``question`` (Eq. 8 scoring): a batch
+        of one through :meth:`retrieve_paths_batch`."""
         return self.retrieve_paths_batch(
             [question], k_paths=k_paths, nprobe=nprobe, precision=precision
         )[0]
@@ -134,11 +129,15 @@ class MultiHopRetriever:
 
         The serving layer's substrate: all questions encode in one pass,
         hop 1 runs as one :meth:`SingleRetriever.retrieve_batch` matmul,
-        every clue text across every question encodes as one batch, and
-        the hop-2 queries of *all* questions run as one further
-        ``retrieve_batch`` call. Per-question results are identical to
-        :meth:`retrieve_paths` up to encoder batch-padding float jitter
-        (~1e-16); with a batch-invariant encoder they are exact.
+        one :meth:`QuestionUpdater.select_clue` pass picks every hop-1
+        candidate's clue from the indexed triples
+        (:meth:`SingleRetriever.clue_candidates`, no encoder call), every
+        clue text across every question encodes as one batch, and the
+        hop-2 queries of *all* questions run as one further
+        ``retrieve_batch`` call: two encoder calls per batch in all.
+        Per-question results match :meth:`retrieve_paths` up to the
+        encoder's and the scoring matmul's batch-shape jitter (a float32
+        ulp or two), so only paths tied that closely can reorder.
 
         ``nprobe`` and ``precision`` are forwarded to both hops'
         ``retrieve_batch`` calls, so a quantized policy prunes *both*
@@ -156,50 +155,39 @@ class MultiHopRetriever:
         hop1_lists = self.retriever.retrieve_batch(
             question_matrix, k=cfg.k_hop1, nprobe=nprobe, precision=precision
         )
-        # select every (question, hop-1 candidate) clue first so all clue
-        # texts across the whole batch encode as one encoder pass
-        clues_per_q: List[List[Optional[Triple]]] = []
-        updated_per_q: List[List[str]] = []
-        clue_texts: List[str] = []
-        clue_rows: List[int] = []  # global hop-2 row indices
-        clue_sources: List[int] = []  # question index per clue row
-        blocks: List[np.ndarray] = []
-        cursor = 0
-        for qi, (question, hop1_results) in enumerate(
-            zip(questions, hop1_lists)
-        ):
-            blocks.append(
-                np.tile(question_matrix[qi], (len(hop1_results), 1))
-            )
-            clues: List[Optional[Triple]] = []
-            updated_questions: List[str] = []
-            for row, hop1 in enumerate(hop1_results):
-                triples = self.retriever.store.triples(hop1.doc_id)
-                selected = self.updater.select_clue(question, triples)
-                clue = selected[1] if selected else None
-                clues.append(clue)
-                if clue is None:
-                    updated_questions.append(question)
-                else:
-                    updated_questions.append(
-                        compose_updated_question(question, clue)
-                    )
-                    clue_texts.append(self._clue_text(question, clue))
-                    clue_rows.append(cursor + row)
-                    clue_sources.append(qi)
-            clues_per_q.append(clues)
-            updated_per_q.append(updated_questions)
-            cursor += len(hop1_results)
-        hop2_matrix = (
-            np.concatenate(blocks)
-            if cursor
-            else np.zeros((0, question_matrix.shape[1]))
+        hop1 = [
+            (qi, hit) for qi, hits in enumerate(hop1_lists) for hit in hits
+        ]
+        owners = np.asarray([qi for qi, _ in hop1], dtype=np.int64)
+        # one encoder-free clue pass over every (question, hop-1 doc) pair
+        chosen = self.updater.select_clue(
+            questions,
+            self.retriever.clue_candidates(
+                question_matrix, [hit.doc_id for _, hit in hop1], owners
+            ),
         )
+        clues: List[Optional[Triple]] = []
+        updated: List[str] = []
+        clue_texts: List[str] = []
+        clue_rows: List[int] = []  # hop-2 rows that mix in a clue
+        for row, ((qi, hit), local) in enumerate(zip(hop1, chosen.tolist())):
+            question = questions[qi]
+            if local < 0:  # a hop-1 document without triples
+                clues.append(None)
+                updated.append(question)
+                continue
+            clue = self.retriever.store.triples(hit.doc_id)[local]
+            clues.append(clue)
+            updated.append(compose_updated_question(question, clue))
+            clue_texts.append(self._clue_text(question, clue))
+            clue_rows.append(row)
+        hop2_matrix = question_matrix[owners]
         if clue_texts:
+            # every clue text of the batch encodes as one encoder pass
             clue_matrix = self.retriever.encode_questions(clue_texts)
             questions_normed = l2_normalize_rows(question_matrix)
             hop2_matrix[clue_rows] = (
-                questions_normed[clue_sources]
+                questions_normed[owners[clue_rows]]
                 + cfg.clue_weight * l2_normalize_rows(clue_matrix)
             )
         # one Q×T matmul covers every question's every second hop
@@ -210,20 +198,18 @@ class MultiHopRetriever:
                 nprobe=nprobe,
                 precision=precision,
             )
-            if cursor
+            if hop1
             else []
         )
         out: List[List[DocumentPath]] = []
         start = 0
-        for hop1_results, clues, updated_questions in zip(
-            hop1_lists, clues_per_q, updated_per_q
-        ):
+        for hop1_results in hop1_lists:
             stop = start + len(hop1_results)
             out.append(
                 self._assemble_paths(
                     hop1_results,
-                    clues,
-                    updated_questions,
+                    clues[start:stop],
+                    updated[start:stop],
                     hop2_lists[start:stop],
                     k_paths,
                 )

@@ -37,7 +37,7 @@ from repro.ingest.embedding_store import EmbeddingStore
 from repro.ingest.fingerprint import encoder_fingerprint, triples_fingerprint
 from repro.oie.triple import Triple
 from repro.perf import COUNTERS, time_block
-from repro.precision import PrecisionLike, cast_matrix, resolve
+from repro.precision import ACCUM_DTYPE, PrecisionLike, cast_matrix, resolve
 from repro.retriever.store import TripleStore
 from repro.retriever.strategies import (
     ONE_FACT,
@@ -49,6 +49,65 @@ from repro.retriever.strategies import (
 from repro.shard.merge import topk_doc_order
 from repro.shard.plan import QueryScores, ShardPlan
 from repro.shard.store import ShardedEmbeddingStore
+from repro.text.tokenize import tokenize
+
+
+@dataclass(frozen=True)
+class TokenTable:
+    """Token strings of triple texts as padded interned-id matrices.
+
+    ``ids`` interns token *strings*, never encoder vocab ids: those fold
+    every unseen token onto UNK, so an unseen triple token would read as
+    already in the question. Row ``r`` of ``tokens`` holds text ``r``'s
+    ``tokenize`` tokens, of ``weights`` their encoder idf weights and of
+    ``caps`` its capitalized whitespace words, lower-cased; padding (at
+    least one column) is id -1 with weight 0.
+    """
+
+    ids: Dict[str, int]
+    tokens: np.ndarray
+    weights: np.ndarray
+    caps: np.ndarray
+
+    @classmethod
+    def build(cls, texts: Sequence[str], encoder: MiniBertEncoder) -> "TokenTable":
+        ids: Dict[str, int] = {}
+        vocab, idf = encoder.vocab, encoder._token_weights
+        token_rows = [tokenize(text) for text in texts]
+        cap_rows = [
+            [w.lower() for w in text.split() if w[:1].isupper()]
+            for text in texts
+        ]
+
+        def padded(rows: List[List[str]], fill, value) -> np.ndarray:
+            out = np.full((len(rows), max([1, *map(len, rows)])), fill)
+            for i, row in enumerate(rows):
+                out[i, : len(row)] = [value(item) for item in row]
+            return out
+
+        def intern(item: str) -> int:
+            return ids.setdefault(item, len(ids))
+
+        return cls(
+            ids,
+            padded(token_rows, -1, intern),
+            padded(token_rows, 0.0, lambda t: idf[vocab.id_of(t)]),
+            padded(cap_rows, -1, intern),
+        )
+
+
+@dataclass(frozen=True)
+class ClueCandidates:
+    """Candidate clue triples of many (question, document) segments:
+    candidate ``i`` is row ``rows[i]`` of ``tokens``, has cosine
+    ``cosines[i]`` to question ``owners[i]``, and segment ``s`` starts at
+    candidate ``offsets[s]``."""
+
+    tokens: TokenTable
+    rows: np.ndarray
+    offsets: np.ndarray
+    owners: np.ndarray
+    cosines: np.ndarray
 
 
 @dataclass
@@ -93,24 +152,12 @@ class SingleRetriever:
             if precision is None
             else resolve(precision)
         )
-        self._embeddings: Dict[int, np.ndarray] = {}
-        self._stacked: Optional[np.ndarray] = None
-        self._normed: Optional[np.ndarray] = None
-        self._doc_order: List[int] = []
-        self._doc_pos: Dict[int, int] = {}
-        self._offsets: List[int] = []
-        self._offsets_arr: Optional[np.ndarray] = None
-        self._lengths: Optional[np.ndarray] = None
-        # dirty-row tracking: what each cached segment was computed from
-        self._row_hashes: Dict[int, str] = {}
-        self._encoder_fp: Optional[str] = None
-        self._attached: Optional[EmbeddingStore] = None
         # the plan every retrieval scores through: built from the
         # (n_shards, mode, quantize) spec, or one range shard when the
         # spec is None; rebuilt whenever the scoring matrices refresh
         self._shard_spec: Optional[tuple] = None
         self._shard_assignment: Optional[Dict[int, int]] = None
-        self._plan: Optional[ShardPlan] = None
+        self.detach_embeddings()
 
     # -- embedding maintenance ------------------------------------------------
     def refresh_embeddings(
@@ -201,6 +248,7 @@ class SingleRetriever:
                 start += n_rows
             self._stacked = matrix
             self._normed = l2_normalize_rows(matrix)
+            self._tokens = None
             self._doc_pos = {d: i for i, d in enumerate(self._doc_order)}
             self._offsets_arr = np.asarray(self._offsets, dtype=np.int64)
             self._lengths = segment_lengths(self._offsets_arr, start)
@@ -263,18 +311,21 @@ class SingleRetriever:
 
     def detach_embeddings(self) -> None:
         """Drop every cached embedding and all dirty-tracking state."""
-        self._embeddings = {}
-        self._stacked = None
-        self._normed = None
-        self._doc_order = []
-        self._doc_pos = {}
-        self._offsets = []
-        self._offsets_arr = None
-        self._lengths = None
-        self._row_hashes = {}
-        self._encoder_fp = None
-        self._attached = None
-        self._plan = None
+        self._embeddings: Dict[int, np.ndarray] = {}
+        self._stacked: Optional[np.ndarray] = None
+        self._normed: Optional[np.ndarray] = None
+        # built from the store by the first clue pass, dropped with _normed
+        self._tokens: Optional[TokenTable] = None
+        self._doc_order: List[int] = []
+        self._doc_pos: Dict[int, int] = {}
+        self._offsets: List[int] = []
+        self._offsets_arr: Optional[np.ndarray] = None
+        self._lengths: Optional[np.ndarray] = None
+        # dirty-row tracking: what each cached segment was computed from
+        self._row_hashes: Dict[int, str] = {}
+        self._encoder_fp: Optional[str] = None
+        self._attached: Optional[EmbeddingStore] = None
+        self._plan: Optional[ShardPlan] = None
 
     def export_embeddings(
         self, construction_fingerprint: str = ""
@@ -414,6 +465,37 @@ class SingleRetriever:
         if norm:
             query_vec = query_vec / norm
         return self._normed[start:stop] @ query_vec
+
+    def clue_candidates(
+        self,
+        query_matrix: np.ndarray,
+        doc_ids: Sequence[int],
+        owners: Sequence[int],
+    ) -> ClueCandidates:
+        """Every stored triple of ``doc_ids[s]`` as a clue candidate of
+        query row ``owners[s]``, with no encoder call: cosines come from
+        the stored policy-dtype rows, summed row by row in float64 so they
+        do not depend on the batch shape."""
+        self._ensure_fresh()
+        if self._tokens is None:
+            texts = [t for d in self._doc_order for t in self.store.flattened(d)]
+            self._tokens = TokenTable.build(texts, self.encoder)
+        positions = np.asarray(
+            [self._doc_pos[int(doc_id)] for doc_id in doc_ids], dtype=np.int64
+        )
+        lengths = self._lengths[positions]
+        offsets = np.cumsum(lengths) - lengths
+        # each document's row range, concatenated
+        shift = self._offsets_arr[positions] - offsets
+        rows = np.repeat(shift, lengths) + np.arange(int(lengths.sum()))
+        owner_rows = np.repeat(np.asarray(owners, dtype=np.int64), lengths)
+        queries_normed = l2_normalize_rows(
+            cast_matrix(query_matrix, self.precision.dtype)
+        )
+        cosines = (
+            self._normed[rows].astype(ACCUM_DTYPE) * queries_normed[owner_rows]
+        ).sum(axis=1)
+        return ClueCandidates(self._tokens, rows, offsets, owner_rows, cosines)
 
     def retrieve(
         self,

@@ -3,12 +3,16 @@
 The paper scores each candidate triple by encoding the concatenation
 ``L = q ⊕ t_i`` and, during training, comparing it to the encoding of the
 ground next-hop question ``q'``; the highest-scoring triple becomes the
-updater-clue. We realize this as a selector: a linear head over the
-encoder's representation of ``q ⊕ t_i`` produces the clue score, trained
+updater-clue. We realize this as a selector: a linear head over four
+novelty statistics of ``(q, t_i)`` produces the clue score, trained
 listwise so the gold clue (the triple whose concatenation is most similar
 to the ground ``q'`` — exactly the paper's training-time criterion)
 outranks its siblings. At inference no ``q'`` is needed: the head alone
 scores the candidates in O(|T_d|).
+
+:func:`clue_features` is the one feature function: serving feeds it the
+indexed rows (``SingleRetriever.clue_candidates``, no encoder call),
+training fresh encodes (:meth:`QuestionUpdater.encoded_candidates`).
 """
 
 from __future__ import annotations
@@ -18,15 +22,22 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.corpus import Corpus, Document
+from repro.data.corpus import Corpus
 from repro.data.hotpot import HotpotQuestion
 from repro.encoder.minibert import MiniBertEncoder
 from repro.nn.layers import Linear
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.oie.triple import Triple
+from repro.perf import COUNTERS
+from repro.retriever.single import ClueCandidates, TokenTable
 from repro.retriever.store import TripleStore
-from repro.retriever.strategies import l2_normalize_rows, l2_normalize_vec
+from repro.retriever.strategies import (
+    ScoreStrategy,
+    aggregate_segments,
+    l2_normalize_rows,
+    l2_normalize_vec,
+)
 from repro.text.tokenize import tokenize
 from repro.updater.golden import ground_clue_index
 from repro.updater.question import compose_updated_question
@@ -34,7 +45,7 @@ from repro.updater.question import compose_updated_question
 
 @dataclass
 class UpdaterConfig:
-    """Updater model/training knobs."""
+    """Updater head training knobs."""
 
     epochs: int = 2
     lr: float = 1e-2
@@ -42,13 +53,44 @@ class UpdaterConfig:
     max_candidates: int = 12
     clip_norm: float = 5.0
     seed: int = 23
-    train_encoder: bool = False  # head-only by default (encoder is shared)
-    # Use only the scalar novelty statistics as head input. Empirically
-    # the high-dimensional embedding blocks *hurt* clue selection (a
-    # linear head overfits ~200 noisy dimensions on a few hundred
-    # examples); the 4 scalars carry the signal. Set False to include the
-    # [enc(q ⊕ t); enc(t)] blocks.
-    scalars_only: bool = True
+
+
+def clue_features(
+    questions: Sequence[str], candidates: ClueCandidates
+) -> np.ndarray:
+    """(n, 4) novelty statistics of every candidate against its question.
+
+    [idf-weighted novelty fraction, novel capitalized words, cosine,
+    normalized triple length]. "This triple introduces a novel rare
+    entity" is a *statistic* of the token sets, not a fixed direction in
+    embedding space, so a linear head cannot recover it from bag-like
+    embeddings alone. Novelty is decided on token strings: a triple
+    token is novel when ``tokenize(question)`` lacks it, a capitalized
+    whitespace word when its lower-cased form is not among those tokens.
+    """
+    table = candidates.tokens
+    owners = candidates.owners[:, None]
+    COUNTERS.incr("clue_triples_scored", owners.shape[0])
+    # seen[q, i]: question q has interned string i; the spare last
+    # column (padding, and question tokens no triple has) reads as seen
+    seen = np.zeros((len(questions), len(table.ids) + 1), dtype=bool)
+    seen[:, -1] = True
+    for index, question in enumerate(questions):
+        seen[index, [table.ids.get(t, -1) for t in set(tokenize(question))]] = True
+    tokens = table.tokens[candidates.rows]
+    weights = table.weights[candidates.rows]
+    # cumulative sums add left to right, as the scalar ``sum`` does
+    total_idf = weights.cumsum(axis=1)[:, -1]
+    novel_idf = (weights * ~seen[owners, tokens]).cumsum(axis=1)[:, -1]
+    novel_caps = (~seen[owners, table.caps[candidates.rows]]).sum(axis=1)
+    return np.column_stack(
+        [
+            novel_idf / np.where(total_idf == 0.0, 1.0, total_idf),
+            np.minimum(novel_caps, 5) / 5.0,
+            candidates.cosines,
+            np.minimum((tokens >= 0).sum(axis=1), 30) / 30.0,
+        ]
+    )
 
 
 class QuestionUpdater:
@@ -58,69 +100,32 @@ class QuestionUpdater:
         self.encoder = encoder
         self.config = config or UpdaterConfig()
         rng = np.random.RandomState(self.config.seed)
-        # features per candidate: [enc(q ⊕ t); enc(t); scalars]. The scalar
-        # block matters most: "this triple introduces a novel rare entity"
-        # is a *statistic* of the token sets, not a fixed direction in
-        # embedding space, so a linear head cannot recover it from bag-like
-        # embeddings alone.
-        self.n_scalar_features = 4
-        feature_dim = (
-            self.n_scalar_features
-            if self.config.scalars_only
-            else 2 * encoder.config.dim + self.n_scalar_features
-        )
-        self.head = Linear(feature_dim, 1, rng=rng)
+        self.head = Linear(4, 1, rng=rng)  # one weight per clue feature
 
     # -- scoring ---------------------------------------------------------
-    def _concat_texts(self, question: str, triples: Sequence[Triple]) -> List[str]:
-        return [f"{question} {t.flatten()}" for t in triples]
-
-    def _scalar_features(
+    def encoded_candidates(
         self, question: str, triples: Sequence[Triple]
-    ) -> np.ndarray:
-        """(n, 4) novelty statistics per candidate triple.
-
-        [idf-weighted novelty fraction, novel capitalized tokens,
-        cos(enc(t), enc(q)), normalized triple length]
-        """
-        vocab = self.encoder.vocab
-        weights = self.encoder._token_weights
-        question_tokens = set(tokenize(question))
+    ) -> ClueCandidates:
+        """One segment of candidates whose cosines come from fresh encodes."""
+        texts = [t.flatten() for t in triples]
         question_vec = l2_normalize_vec(self.encoder.encode_numpy([question])[0])
-        triple_vecs = self.encoder.encode_numpy([t.flatten() for t in triples])
-        cosines = l2_normalize_rows(triple_vecs) @ question_vec
-        rows = []
-        for i, triple in enumerate(triples):
-            tokens = tokenize(triple.flatten())
-            total_idf = sum(weights[vocab.id_of(t)] for t in tokens) or 1.0
-            novel_idf = sum(
-                weights[vocab.id_of(t)]
-                for t in tokens
-                if t not in question_tokens
-            )
-            novel_caps = sum(
-                1
-                for word in triple.flatten().split()
-                if word[:1].isupper() and word.lower() not in question_tokens
-            )
-            rows.append(
-                [
-                    novel_idf / total_idf,
-                    min(novel_caps, 5) / 5.0,
-                    float(cosines[i]),
-                    min(len(tokens), 30) / 30.0,
-                ]
-            )
-        return np.asarray(rows)
+        cosines = l2_normalize_rows(self.encoder.encode_numpy(texts)) @ question_vec
+        return ClueCandidates(
+            TokenTable.build(texts, self.encoder),
+            rows=np.arange(len(texts)),
+            offsets=np.zeros(1, dtype=np.int64),
+            owners=np.zeros(len(texts), dtype=np.int64),
+            cosines=cosines,
+        )
 
-    def _features(self, question: str, triples: Sequence[Triple]) -> np.ndarray:
-        """Feature matrix for the candidate triples (see ``scalars_only``)."""
-        scalars = self._scalar_features(question, triples)
-        if self.config.scalars_only:
-            return scalars
-        concat = self.encoder.encode_numpy(self._concat_texts(question, triples))
-        triple_vecs = self.encoder.encode_numpy([t.flatten() for t in triples])
-        return np.concatenate([concat, triple_vecs, scalars], axis=1)
+    def features(self, question: str, triples: Sequence[Triple]) -> np.ndarray:
+        """Feature matrix of one question's candidates, from the encoder."""
+        return clue_features([question], self.encoded_candidates(question, triples))
+
+    def logits(self, features: np.ndarray) -> np.ndarray:
+        """Head output, row by row: independent of the other rows."""
+        weight = self.head.weight.data.reshape(-1)
+        return (features * weight).sum(axis=1) + float(self.head.bias.data[0])
 
     def score_triples(
         self, question: str, triples: Sequence[Triple]
@@ -128,31 +133,27 @@ class QuestionUpdater:
         """Clue scores for every candidate triple (no gradients)."""
         if not triples:
             return np.zeros(0)
-        features = self._features(question, triples)
-        return (features @ self.head.weight.data).reshape(-1) + float(
-            self.head.bias.data[0]
-        )
+        return self.logits(self.features(question, triples))
 
     def select_clue(
-        self, question: str, triples: Sequence[Triple]
-    ) -> Optional[Tuple[int, Triple]]:
-        """The best clue triple (index, triple), or None without candidates."""
-        scores = self.score_triples(question, triples)
-        if scores.size == 0:
-            return None
-        index = int(scores.argmax())
-        return index, triples[index]
+        self, questions: Sequence[str], candidates: ClueCandidates
+    ) -> np.ndarray:
+        """Segment-local index of every segment's clue (-1 when empty):
+        one feature pass, one head pass and a segment argmax whose ties
+        go to the lowest triple index."""
+        logits = self.logits(clue_features(questions, candidates))
+        return aggregate_segments(logits, candidates.offsets, ScoreStrategy())[1]
 
     def update_question(self, question: str, triples: Sequence[Triple]) -> str:
         """One updater step: pick the clue and compose ``q'``."""
-        selected = self.select_clue(question, triples)
-        if selected is None:
+        if not triples:
             return question
-        return compose_updated_question(question, selected[1])
+        index = int(self.score_triples(question, triples).argmax())
+        return compose_updated_question(question, triples[index])
 
 
 class UpdaterTrainer:
-    """Trains the updater head (and optionally the encoder) listwise."""
+    """Trains the updater head listwise (the encoder stays fixed)."""
 
     def __init__(self, updater: QuestionUpdater, config: Optional[UpdaterConfig] = None):
         self.updater = updater
@@ -193,10 +194,7 @@ class UpdaterTrainer:
         """Listwise training; returns per-epoch mean losses."""
         cfg = self.config
         updater = self.updater
-        encoder_model = updater.encoder.model
         parameters = updater.head.parameters()
-        if cfg.train_encoder:
-            parameters = parameters + encoder_model.parameters()
         optimizer = Adam(parameters, lr=cfg.lr)
         losses: List[float] = []
         for epoch in range(cfg.epochs):
@@ -204,23 +202,8 @@ class UpdaterTrainer:
             epoch_losses = []
             for i in order:
                 question, triples, gold = examples[i]
-                if cfg.train_encoder and not cfg.scalars_only:
-                    encoder_model.train()
-                    texts = updater._concat_texts(question, triples)
-                    concat = updater.encoder.encode(texts)
-                    triple_vecs = updater.encoder.encode(
-                        [t.flatten() for t in triples]
-                    )
-                    scalars = Tensor(
-                        updater._scalar_features(question, triples)
-                    )
-                    features = Tensor.concat(
-                        [concat, triple_vecs, scalars], axis=1
-                    )
-                else:
-                    features = Tensor(updater._features(question, triples))
-                logits = updater.head(features).reshape(-1)
-                logits = logits * cfg.logit_scale
+                features = Tensor(updater.features(question, triples))
+                logits = updater.head(features).reshape(-1) * cfg.logit_scale
                 loss = -logits.softmax(axis=-1).log()[gold]
                 for parameter in parameters:
                     parameter.zero_grad()
@@ -233,5 +216,4 @@ class UpdaterTrainer:
             if verbose:  # pragma: no cover - console output
                 print(f"[updater] epoch {epoch + 1}/{cfg.epochs} "
                       f"loss={mean_loss:.4f}")
-        encoder_model.eval()
         return losses

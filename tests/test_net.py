@@ -26,7 +26,10 @@ import pytest
 from repro.ingest.embedding_store import EmbeddingStore, store_generation
 from repro.net import (
     Fleet,
+    FrontDoor,
+    NetClient,
     SupervisorError,
+    WorkerHandle,
     WorkerSpec,
     canonical_json,
     publish_store,
@@ -42,7 +45,7 @@ from repro.net.protocol import (
 )
 from repro.net.worker import EMBEDDINGS_DIR, STORE_NAME
 from repro.oie.triple import Triple
-from repro.perf import merge
+from repro.perf import Stats, merge
 from repro.retriever.store import TripleStore
 from repro.serve import RetrievalService, ServiceConfig
 
@@ -422,3 +425,71 @@ def test_failed_respawn_is_counted_in_stats_frame(tmp_path):
     assert failures >= 1
     assert frame["supervisor"]["restarts"] == 0
     assert frame["supervisor"]["rollouts"] == 0
+
+
+class _ScriptedWorker:
+    """A one-connection worker that answers ``stats`` with a fixed pid,
+    or, when ``dies``, drops its link on the first ``stats`` frame."""
+
+    def __init__(self, pid, dies):
+        self.pid = pid
+        self.dies = dies
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        conn, _ = self.listener.accept()
+        with conn:
+            while True:
+                frame = recv_frame(conn)
+                if frame is None or self.dies:
+                    return
+                send_frame(conn, {
+                    "id": frame["id"], "ok": True, "op": "stats",
+                    "pid": self.pid, "generation": 1, "pending": 0,
+                    "stats": {"submitted": 5},
+                    "encoder": {}, "counters": {"clue_triples_scored": 7},
+                })
+
+    def handle(self, slot):
+        return WorkerHandle(
+            slot=slot, incarnation=0, process=None, host="127.0.0.1",
+            port=self.port, generation=1, pid=self.pid,
+        )
+
+
+class _ScriptedSupervisor:
+    def __init__(self, handles):
+        self._handles = handles
+        self.on_change = None
+        self.stats = Stats("restarts", "rollouts", "respawn_failures")
+
+    def handles(self):
+        return list(self._handles)
+
+
+def test_stats_frame_never_redispatches_a_dead_links_request():
+    """A ``stats`` frame pending on a link that dies is not re-routed to
+    another worker (which would file that worker's answer under the dead
+    slot); the dead worker is left out of the reply."""
+    dying = _ScriptedWorker(pid=1000, dies=True)
+    alive = _ScriptedWorker(pid=1001, dies=False)
+    supervisor = _ScriptedSupervisor([dying.handle(0), alive.handle(1)])
+    with FrontDoor(supervisor) as door:
+        deadline = time.monotonic() + 30.0
+        while door.stats_snapshot()["workers_linked"] < 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        with NetClient(door.address) as client:
+            frame = client.stats()
+    workers = frame["workers"]
+    assert [w["slot"] for w in workers] == [1]
+    assert len({w["pid"] for w in workers}) == len(workers)
+    assert frame["aggregate"]["workers"] == len(workers)
+    assert frame["aggregate"]["submitted"] == 5
+    assert frame["aggregate"]["counters"] == {"clue_triples_scored": 7}
+    assert frame["frontdoor"]["retried"] == 0
+    for worker in (dying, alive):
+        worker.listener.close()

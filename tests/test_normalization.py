@@ -100,7 +100,7 @@ class TestUpdaterCosineFeature:
         updater = QuestionUpdater(encoder)
         triples = store.triples(0)
         assert triples, "fixture doc 0 should have triples"
-        features = updater._scalar_features("Who founded the club?", triples)
+        features = updater.features("Who founded the club?", triples)
         cosines = features[:, 2]
         assert np.all(cosines <= 1.0 + 1e-9)
         assert np.all(cosines >= -1.0 - 1e-9)

@@ -133,9 +133,6 @@ class TestShapeGradients:
     def test_getitem(self):
         check(lambda a: a[1:3], [(5, 2)])
 
-    def test_concat(self):
-        check(lambda a, b: Tensor.concat([a, b], axis=0), [(2, 3), (4, 3)])
-
     def test_stack(self):
         check(lambda a, b: Tensor.stack([a, b]), [(3,), (3,)])
 

@@ -79,12 +79,16 @@ class TestQuestionUpdater:
     def test_select_clue(self, encoder, store):
         updater = QuestionUpdater(encoder)
         triples = store.triples(store.doc_ids()[0])
-        index, clue = updater.select_clue("some question", triples)
-        assert triples[index] is clue
+        candidates = updater.encoded_candidates("some question", triples)
+        (index,) = updater.select_clue(["some question"], candidates)
+        scores = updater.score_triples("some question", triples)
+        assert 0 <= index < len(triples)
+        assert index == int(scores.argmax())
 
     def test_select_clue_empty(self, encoder):
         updater = QuestionUpdater(encoder)
-        assert updater.select_clue("q", []) is None
+        candidates = updater.encoded_candidates("q", [])
+        assert updater.select_clue(["q"], candidates).tolist() == [-1]
 
     def test_update_question_returns_new_text(self, encoder, store):
         updater = QuestionUpdater(encoder)
